@@ -3,13 +3,11 @@
 //! (both in the *same* build, via [`FactorConfig::collect_trace`])
 //! across a few sizes, and the slowdown is reported.
 //!
-//! Built **without** the `obs` feature the instrumentation is compiled
-//! out, both modes run identical code, and the binary instead verifies
-//! that no trace materializes. Built **with** `--features obs` the
-//! traced run must stay within a few percent of the untraced one — the
-//! facade records into preallocated per-worker buffers, so the hot path
-//! costs two `Instant::now()` calls per task and no heap traffic, which
-//! the counting global allocator cross-checks on the GEMM hot path.
+//! The traced run must stay within a few percent of the untraced one and
+//! record every task — the facade records into preallocated per-worker
+//! buffers, so the hot path costs two `Instant::now()` calls per task
+//! and no heap traffic, which the counting global allocator cross-checks
+//! on the GEMM hot path. The untraced run must materialize no trace.
 //!
 //! The always-on metrics registry rides the same harness: the same
 //! problem is factored with [`FactorConfig::collect_metrics`] on and
@@ -17,11 +15,11 @@
 //! and held to the same ≤5 % gate, and a direct-op probe proves the
 //! registry records without touching the heap.
 //!
-//! Emits `BENCH_trace_overhead.json` (and echoes it to stdout).
-//! `--smoke` shrinks to one small size for CI and exits nonzero when
-//! the gate fails: enabled-mode overhead > 5 % (tracing or registry),
-//! or any steady-state allocation on the traced GEMM hot path / the
-//! registry recording path.
+//! Emits `BENCH_trace_overhead.json` (and echoes it to stdout), then
+//! exits nonzero when a gate fails: overhead > 5 % (tracing or
+//! registry), a traced run missing a task, or any steady-state
+//! allocation on the traced GEMM hot path / the registry recording
+//! path. `--smoke` shrinks the grid to one small size for CI.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,12 +90,7 @@ fn time_once(m0: &TlrMatrix, acc: f64, traced: bool) -> (f64, usize, usize) {
     fcfg.collect_trace = traced;
     let rep = factorize(&mut m, &fcfg).expect("SPD benchmark matrix must factor");
     let records = rep.metrics.as_ref().map_or(0, |mx| mx.trace.records.len());
-    if traced && cfg!(feature = "obs") {
-        assert!(rep.metrics.is_some(), "obs build must produce metrics when asked");
-    }
-    if !traced {
-        assert!(rep.metrics.is_none(), "untraced run must not produce metrics");
-    }
+    assert_eq!(rep.metrics.is_some(), traced, "metrics must exist exactly when traced");
     (rep.factorization_seconds, rep.dag_tasks, records)
 }
 
@@ -231,7 +224,6 @@ fn registry_hot_path_allocs() -> u64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let obs_enabled = cfg!(feature = "obs");
 
     // Sizes keep the factorization in the milliseconds and the rep
     // count high: the gate compares per-mode *minima* over many
@@ -288,7 +280,6 @@ fn main() {
     let json = format!(
         "{{\n  \"experiment\": \"trace_overhead\",\n  \
          \"mode\": \"{}\",\n  \
-         \"obs_feature\": {obs_enabled},\n  \
          \"host_parallelism\": {host_parallelism},\n  \
          \"kernel_path\": \"{kernel_path}\",\n  \
          \"note\": \"single measurement host; traced vs untraced interleaved, best-of-{reps}\",\n  \
@@ -303,43 +294,33 @@ fn main() {
     print!("{json}");
     std::fs::write("BENCH_trace_overhead.json", &json).expect("write BENCH_trace_overhead.json");
     eprintln!(
-        "wrote BENCH_trace_overhead.json (obs={obs_enabled}, max overhead {max_overhead:+.2}%, \
+        "wrote BENCH_trace_overhead.json (max overhead {max_overhead:+.2}%, \
          registry {max_registry_overhead:+.2}%, steady-state allocs gemm {gemm_allocs} / \
          registry {registry_allocs})"
     );
 
-    if smoke {
-        let mut failed = false;
-        if gemm_allocs > 0 {
-            eprintln!("smoke FAILED: traced steady-state gemm_kernel allocated (expected 0)");
-            failed = true;
-        }
-        if registry_allocs > 0 {
-            eprintln!(
-                "smoke FAILED: registry recording allocated {registry_allocs} times (expected 0)"
-            );
-            failed = true;
-        }
-        // The registry gate holds in every build: it is not obs-gated.
-        if runtime::Registry::compiled() && max_registry_overhead > 5.0 {
-            eprintln!("smoke FAILED: registry overhead {max_registry_overhead:.2}% > 5%");
-            failed = true;
-        }
-        if obs_enabled {
-            if max_overhead > 5.0 {
-                eprintln!("smoke FAILED: tracing overhead {max_overhead:.2}% > 5%");
-                failed = true;
-            }
-            if points.iter().any(|p| p.trace_records != p.tasks) {
-                eprintln!("smoke FAILED: traced run must record every task");
-                failed = true;
-            }
-        } else if points.iter().any(|p| p.trace_records != 0) {
-            eprintln!("smoke FAILED: disabled build must not materialize a trace");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
+    let mut failed = false;
+    if gemm_allocs > 0 {
+        eprintln!("FAILED: traced steady-state gemm_kernel allocated (expected 0)");
+        failed = true;
+    }
+    if registry_allocs > 0 {
+        eprintln!("FAILED: registry recording allocated {registry_allocs} times (expected 0)");
+        failed = true;
+    }
+    if max_registry_overhead > 5.0 {
+        eprintln!("FAILED: registry overhead {max_registry_overhead:.2}% > 5%");
+        failed = true;
+    }
+    if max_overhead > 5.0 {
+        eprintln!("FAILED: tracing overhead {max_overhead:.2}% > 5%");
+        failed = true;
+    }
+    if points.iter().any(|p| p.trace_records != p.tasks) {
+        eprintln!("FAILED: traced run must record every task");
+        failed = true;
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -1,8 +1,8 @@
 //! Distributed-memory TLR Cholesky with real numerics.
 //!
 //! Runs the factorization across emulated ranks (separate address
-//! spaces, tiles shipped as messages — `runtime::distributed`), under any
-//! of the paper's data distributions, with optional execution remapping
+//! spaces, tiles shipped as messages), under any of the paper's data
+//! distributions, with optional execution remapping
 //! (§VII-B's dissociation of ownership from execution). This is the
 //! strongest validation the reproduction has: a wrong owner function, a
 //! missing dataflow edge, or a remap that forgets to ship a tile breaks
@@ -17,9 +17,7 @@
 //! onto it with
 //! [`with_fault_layer`](crate::session::Session::with_fault_layer).
 //! Recovery is retransmission, dedup and task re-execution; the factor
-//! is bit-identical to the fault-free run for any survivable plan. The
-//! `factorize_distributed{,_counted,_ft}` entry points remain as
-//! deprecated one-call shims over the session.
+//! is bit-identical to the fault-free run for any survivable plan.
 //!
 //! The data layout follows PaRSEC's on-demand shipping, collapsed to
 //! setup time: each tile's initial version starts at the rank that first
@@ -27,16 +25,14 @@
 //! last writer.
 
 use crate::dag::{CholeskyDag, TaskKind};
-use crate::session::{RunError, Session};
+#[cfg(test)]
 use distribution::TileDistribution;
 use parking_lot::Mutex;
-use runtime::des::CommStats;
-use runtime::engine::{EngineError, RankCtx};
-use runtime::fault::{FaultStats, FtConfig, FtError};
+use runtime::engine::RankCtx;
+use runtime::fault::FaultStats;
 use runtime::graph::{DataRef, TaskId};
 use runtime::obs::RunEvent;
 use std::collections::HashMap;
-use std::fmt;
 use tlr_compress::kernels::{gemm_kernel, potrf_kernel, syrk_kernel, trsm_kernel};
 use tlr_compress::{SealedTile, Tile, TlrMatrix};
 use tlr_linalg::CholeskyError;
@@ -72,7 +68,6 @@ pub(crate) fn plan_distribution(
             ft: false,
             verify: false,
             trace: false,
-            overrides: HashMap::new(),
             replan_slack: None,
         }),
     )
@@ -327,51 +322,6 @@ pub(crate) fn kernel_env<'a>(
     }
 }
 
-/// Factor `matrix = L·Lᵀ` across `nprocs` emulated distributed-memory
-/// ranks. `exec` maps each tile to the rank that executes the tasks
-/// writing it (pass the data distribution itself for owner-computes, or
-/// a remapping distribution for the §VII-B execution dissociation).
-///
-/// Now a shim over [`Session::distributed`], so it inherits the
-/// session's diagonal-shift retry driver
-/// ([`FactorConfig::max_shift_retries`]).
-#[deprecated(note = "use `Session::distributed(cfg, nprocs, exec).run(matrix)`")]
-pub fn factorize_distributed(
-    matrix: &mut TlrMatrix,
-    cfg: &FactorConfig,
-    nprocs: usize,
-    exec: &dyn TileDistribution,
-) -> Result<(), CholeskyError> {
-    match Session::distributed(*cfg, nprocs, exec).run(matrix) {
-        Ok(_) => Ok(()),
-        Err(RunError::Numeric(e)) => Err(e),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`factorize_distributed`] that also reports the inter-rank
-/// communication volume (messages and payload bytes actually sent, i.e.
-/// after owner-computes locality removed same-rank transfers). This is
-/// the measured counterpart of the DES's modeled `CommStats` and feeds
-/// the observability comparison tables.
-#[deprecated(
-    note = "use `Session::distributed(cfg, nprocs, exec).run(matrix)` and read `RunOutcome::comm`"
-)]
-pub fn factorize_distributed_counted(
-    matrix: &mut TlrMatrix,
-    cfg: &FactorConfig,
-    nprocs: usize,
-    exec: &dyn TileDistribution,
-) -> Result<CommStats, CholeskyError> {
-    match Session::distributed(*cfg, nprocs, exec).run(matrix) {
-        Ok(out) => Ok(out
-            .comm
-            .expect("distributed runs always count communication")),
-        Err(RunError::Numeric(e)) => Err(e),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Outcome of a fault-tolerant distributed factorization.
 #[derive(Debug, Clone)]
 pub struct FtFactorOutcome {
@@ -388,68 +338,13 @@ pub struct FtFactorOutcome {
     pub events: Vec<RunEvent>,
 }
 
-/// Failure of a fault-tolerant distributed factorization: either the
-/// matrix is numerically not SPD, or the fault plan was not survivable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FtFactorError {
-    /// Pivot failure — same meaning as the shared-memory path.
-    Numeric(CholeskyError),
-    /// The runtime could not recover (all ranks dead, retries exhausted).
-    Runtime(FtError),
-}
-
-impl fmt::Display for FtFactorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FtFactorError::Numeric(e) => write!(f, "matrix is not positive definite: {e:?}"),
-            FtFactorError::Runtime(e) => write!(f, "unrecoverable runtime fault: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FtFactorError {}
-
-impl From<FtError> for FtFactorError {
-    fn from(e: FtError) -> Self {
-        FtFactorError::Runtime(e)
-    }
-}
-
-/// Factor `matrix` across emulated ranks under a seeded fault plan.
-///
-/// Semantics match [`factorize_distributed`]; on success the factor is
-/// **bit-identical** to the fault-free (and shared-memory) result, no
-/// matter what the plan dropped, duplicated, delayed or crashed — that
-/// equivalence is the correctness contract of the recovery layer, and
-/// `tests/fault_tolerance.rs` enforces it.
-///
-/// On `Err(FtFactorError::Runtime(_))` the matrix contents are
-/// unspecified (tiles may be stuck on dead emulated ranks).
-#[deprecated(
-    note = "use `Session::distributed(cfg, nprocs, exec).with_fault_layer(ft).run(matrix)`"
-)]
-pub fn factorize_distributed_ft(
-    matrix: &mut TlrMatrix,
-    cfg: &FactorConfig,
-    nprocs: usize,
-    exec: &dyn TileDistribution,
-    ft: &FtConfig,
-) -> Result<FtFactorOutcome, FtFactorError> {
-    match Session::distributed(*cfg, nprocs, exec)
-        .with_fault_layer(ft)
-        .run(matrix)
-    {
-        Ok(out) => Ok(out.ft.expect("fault layer was configured")),
-        Err(RunError::Numeric(e)) => Err(FtFactorError::Numeric(e)),
-        Err(RunError::Engine(EngineError::Fault(e))) => Err(FtFactorError::Runtime(e)),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::factorize::factorize;
+    use crate::session::{RunError, Session};
+    use runtime::engine::EngineError;
+    use runtime::fault::{FtConfig, FtError};
     use distribution::{BandDistribution, DiamondDistribution, LorapoHybrid, TwoDBlockCyclic};
     use runtime::fault::FaultPlan;
     use tlr_compress::CompressionConfig;
@@ -715,72 +610,5 @@ mod tests {
             err,
             RunError::Engine(EngineError::Fault(FtError::AllRanksCrashed))
         );
-    }
-
-    // ------------- deprecated shims stay faithful -------------
-
-    #[allow(deprecated)]
-    mod shims {
-        use super::*;
-
-        /// The counted shim reports the same volume the session counts.
-        #[test]
-        fn counted_shim_matches_session_comm() {
-            let n = 120;
-            let b = 24;
-            let acc = 1e-8;
-            let dense = gaussian_dense(n);
-            let ccfg = CompressionConfig::with_accuracy(acc);
-            let fcfg = FactorConfig::with_accuracy(acc);
-            let dist = TwoDBlockCyclic::new(4);
-
-            let mut via_shim = TlrMatrix::from_dense(&dense, b, &ccfg);
-            let comm_shim = factorize_distributed_counted(&mut via_shim, &fcfg, 4, &dist).unwrap();
-
-            let mut via_session = TlrMatrix::from_dense(&dense, b, &ccfg);
-            let comm_session = Session::distributed(fcfg, 4, &dist)
-                .run(&mut via_session)
-                .unwrap()
-                .comm
-                .unwrap();
-
-            assert_eq!(comm_shim.messages, comm_session.messages);
-            assert_eq!(comm_shim.bytes, comm_session.bytes);
-            assert_eq!(
-                relative_diff(&via_shim.to_dense_lower(), &via_session.to_dense_lower()),
-                0.0,
-                "shim and session must produce the identical factor"
-            );
-        }
-
-        /// The FT shim still maps engine faults back to [`FtFactorError`].
-        #[test]
-        fn ft_shim_maps_fault_errors_back() {
-            let n = 96;
-            let dense = gaussian_dense(n);
-            let ccfg = CompressionConfig::with_accuracy(1e-8);
-            let mut m = TlrMatrix::from_dense(&dense, 24, &ccfg);
-            let plan = FaultPlan::new(0).with_crash(0, 1.0).with_crash(1, 2.0);
-            let err = factorize_distributed_ft(
-                &mut m,
-                &FactorConfig::with_accuracy(1e-8),
-                2,
-                &TwoDBlockCyclic::new(2),
-                &FtConfig::with_plan(plan),
-            )
-            .unwrap_err();
-            assert_eq!(err, FtFactorError::Runtime(FtError::AllRanksCrashed));
-        }
-
-        /// The plain shim still returns `Ok(())` on a healthy run.
-        #[test]
-        fn plain_shim_factors() {
-            let n = 96;
-            let dense = gaussian_dense(n);
-            let ccfg = CompressionConfig::with_accuracy(1e-8);
-            let mut m = TlrMatrix::from_dense(&dense, 24, &ccfg);
-            let dist = TwoDBlockCyclic::new(3);
-            factorize_distributed(&mut m, &FactorConfig::with_accuracy(1e-8), 3, &dist).unwrap();
-        }
     }
 }

@@ -320,8 +320,6 @@ pub(crate) struct DistPlanInputs<'a> {
     pub(crate) verify: bool,
     /// A virtual-time trace will be recorded.
     pub(crate) trace: bool,
-    /// Seed overrides (the deprecated external-re-planner path).
-    pub(crate) overrides: HashMap<(usize, usize), usize>,
     /// Embed a [`CommReplanner`] with this imbalance slack.
     pub(crate) replan_slack: Option<f64>,
 }
@@ -443,7 +441,7 @@ pub(crate) fn build_plan(
                     batch: None,
                 }),
             };
-            let mapping = ds.derive_mapping(&dag, nt, cfg.sched, d.overrides)?;
+            let mapping = ds.derive_mapping(&dag, nt, cfg.sched, HashMap::new())?;
             *ds.mapping.write() = mapping;
             (None, None, Some(ds))
         }

@@ -5,17 +5,16 @@
 //! pipeline — DAG build, tile placement (`plan_distribution` on
 //! distributed runs), kernel dispatch, engine execution, and tile
 //! gathering — plus the diagonal-shift retry driver that used to live
-//! only on the shared-memory path. The public wrappers
-//! ([`factorize`](crate::factorize::factorize) and the deprecated
-//! `factorize_distributed*` family) are one-call shims over it.
+//! only on the shared-memory path. [`factorize`](crate::factorize::factorize)
+//! is a one-call wrapper over a shared session.
 //!
 //! Capabilities compose instead of multiplying entry points: a
 //! distributed session layers a fault plan with
 //! [`with_fault_layer`](Session::with_fault_layer) and still reports
-//! communication volume and (in `obs` builds) a virtual-time trace —
-//! the FT + trace + comm-counted combination the old
-//! `factorize_distributed{_counted,_ft}` trio could not express. Every
-//! mode returns the same [`RunOutcome`]; absent capabilities are `None`.
+//! communication volume and (with
+//! [`collect_trace`](FactorConfig::collect_trace)) a virtual-time trace,
+//! all from one run. Every mode returns the same [`RunOutcome`]; absent
+//! capabilities are `None`.
 //!
 //! The per-attempt pipeline is split into a *symbolic* phase — DAG
 //! build, distribution mapping, batching, scheduler precomputation,
@@ -30,7 +29,6 @@ use crate::distributed::{gather_tiles, kernel_env, scatter_tiles, FtFactorOutcom
 use crate::drift::{DriftReport, DriftSpec};
 use crate::factorize::{FactorConfig, FactorMetrics, FactorReport, IntegrityMode};
 use crate::plan::{self, CacheEvents, PlanCache, PlanKey, SymbolicPlan};
-use crate::replan::CommReplanner;
 use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
 use runtime::critical_path::critical_path;
@@ -43,7 +41,6 @@ use runtime::fault::{FtConfig, FtError, IntegrityError};
 use runtime::graph::{DataRef, TaskClass};
 use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
 use runtime::trace::{ClassBreakdown, Trace};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,7 +62,6 @@ enum Mode<'a> {
         nprocs: usize,
         exec: &'a dyn TileDistribution,
         ft: Option<&'a FtConfig>,
-        replan: Option<&'a RefCell<CommReplanner>>,
     },
 }
 
@@ -104,12 +100,7 @@ impl<'a> Session<'a> {
     pub fn distributed(cfg: FactorConfig, nprocs: usize, exec: &'a dyn TileDistribution) -> Self {
         Session {
             cfg,
-            mode: Mode::Distributed {
-                nprocs,
-                exec,
-                ft: None,
-                replan: None,
-            },
+            mode: Mode::Distributed { nprocs, exec, ft: None },
             drift: None,
             cache: None,
             replan_slack: None,
@@ -133,38 +124,14 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Layer a comm-feedback re-planner onto a distributed session: each
-    /// run plans its tile placement with the replanner's current
-    /// overrides, and after a successful run feeds the measured
-    /// [`CommStats`] back ([`CommReplanner::observe`]) so repeated
-    /// solves on the same geometry converge to a lower-traffic mapping.
-    /// The factor stays bit-identical — re-planning only moves whole
-    /// tile write-chains between ranks, never changes what they compute.
-    ///
-    /// Re-planning is a distributed-memory concept; on a shared session
-    /// this is a documented no-op.
-    ///
-    /// Because the override state lives *outside* the session, every run
-    /// must re-plan from scratch against the cell's current contents —
-    /// runs through this path bypass any attached [`PlanCache`]. Prefer
-    /// [`with_replanning`](Session::with_replanning), which embeds the
-    /// re-planner state in the (cacheable) plan itself.
-    #[deprecated(note = "use `with_replanning(slack)` — the re-planner state then lives \
-                         in the cached `SymbolicPlan` instead of an external `RefCell`")]
-    pub fn with_replanner(mut self, replanner: &'a RefCell<CommReplanner>) -> Self {
-        if let Mode::Distributed { replan, .. } = &mut self.mode {
-            *replan = Some(replanner);
-        }
-        self
-    }
-
     /// Embed a comm-feedback re-planner in the session's plan: the
-    /// [`CommReplanner`] (with the given compute-imbalance `slack`, see
-    /// [`CommReplanner::with_slack`]) is created at plan-build time and
+    /// [`CommReplanner`](crate::replan::CommReplanner) (with the given
+    /// compute-imbalance `slack`, see
+    /// [`CommReplanner::with_slack`](crate::replan::CommReplanner::with_slack))
+    /// is created at plan-build time and
     /// travels *with* the [`SymbolicPlan`] — when the plan is cached,
     /// converged placement overrides persist across runs and sessions
-    /// sharing the cache, instead of being threaded through a per-call
-    /// `RefCell`. After each successful run the measured [`CommStats`]
+    /// sharing the cache. After each successful run the measured [`CommStats`]
     /// feed back and, if the re-planner moves a tile chain, the plan's
     /// distribution mapping is refreshed in place (the DAG is not
     /// rebuilt).
@@ -225,22 +192,12 @@ impl<'a> Session<'a> {
     pub fn run(&self, matrix: &mut TlrMatrix) -> Result<RunOutcome, RunError> {
         let t0 = std::time::Instant::now();
         let snapshot = matrix.rank_snapshot();
-        // The deprecated external-`RefCell` re-planner changes its
-        // overrides between calls, outside the plan — such plans are
-        // transient by construction and bypass the cache.
-        let legacy_replan = matches!(
-            self.mode,
-            Mode::Distributed {
-                replan: Some(_),
-                ..
-            }
-        );
         let (plan, ev) = match self.cache {
-            Some(cache) if !legacy_replan => {
+            Some(cache) => {
                 let key = plan::plan_key(&self.cfg, &snapshot, self.dist_inputs().as_ref());
                 cache.get_or_build(&key, || self.build_plan(&snapshot))?
             }
-            _ => (Arc::new(self.build_plan(&snapshot)?), CacheEvents::default()),
+            None => (Arc::new(self.build_plan(&snapshot)?), CacheEvents::default()),
         };
         // Cold runs report the symbolic-phase cost here; warm-cache runs
         // report the (near-zero) key fold + lookup instead.
@@ -288,25 +245,15 @@ impl<'a> Session<'a> {
     fn dist_inputs(&self) -> Option<plan::DistPlanInputs<'_>> {
         match &self.mode {
             Mode::Shared => None,
-            Mode::Distributed {
-                nprocs,
-                exec,
-                ft,
-                replan,
-            } => {
+            Mode::Distributed { nprocs, exec, ft } => {
                 let verify = self.cfg.integrity != IntegrityMode::Off
                     || ft.is_some_and(|f| f.plan.injects_corruption());
-                let trace = self.cfg.collect_trace && ExecObs::enabled();
-                let overrides = replan
-                    .map(|r| r.borrow().overrides().clone())
-                    .unwrap_or_default();
                 Some(plan::DistPlanInputs {
                     nprocs: *nprocs,
                     exec: *exec,
                     ft: ft.is_some(),
                     verify,
-                    trace,
-                    overrides,
+                    trace: self.cfg.collect_trace,
                     replan_slack: self.replan_slack,
                 })
             }
@@ -381,14 +328,11 @@ impl<'a> Session<'a> {
         let drift = self.drift.as_ref();
         match self.mode {
             Mode::Shared => shared_attempt(matrix, &self.cfg, plan, drift, ev, analysis_seconds),
-            Mode::Distributed {
-                nprocs, ft, replan, ..
-            } => distributed_attempt(
+            Mode::Distributed { nprocs, ft, .. } => distributed_attempt(
                 matrix,
                 &self.cfg,
                 nprocs,
                 ft,
-                replan,
                 plan,
                 drift,
                 ev,
@@ -404,17 +348,11 @@ impl fmt::Debug for Session<'_> {
         d.field("cfg", &self.cfg);
         match &self.mode {
             Mode::Shared => d.field("mode", &"shared"),
-            Mode::Distributed {
-                nprocs,
-                exec,
-                ft,
-                replan,
-            } => d
+            Mode::Distributed { nprocs, exec, ft } => d
                 .field("mode", &"distributed")
                 .field("nprocs", nprocs)
                 .field("exec", &exec.name())
-                .field("fault_layer", &ft.is_some())
-                .field("replanner", &replan.is_some()),
+                .field("fault_layer", &ft.is_some()),
         };
         d.field("plan_cache", &self.cache.is_some());
         d.field("replanning", &self.replan_slack.is_some());
@@ -441,13 +379,11 @@ pub struct RunOutcome {
     /// configured with [`Session::with_fault_layer`].
     pub ft: Option<FtFactorOutcome>,
     /// Virtual-time execution trace of a distributed run, when
-    /// [`FactorConfig::collect_trace`] is set in an `obs` build.
+    /// [`FactorConfig::collect_trace`] is set.
     /// Shared-memory traces live in [`FactorReport::metrics`].
     pub trace: Option<Trace>,
     /// Merged always-on metrics registry snapshot, when
-    /// [`FactorConfig::collect_metrics`] is set. Present (possibly
-    /// empty) even in builds with the runtime's `metrics` feature
-    /// disabled, so callers never need a `cfg` gate.
+    /// [`FactorConfig::collect_metrics`] is set.
     pub registry: Option<RegistrySnapshot>,
     /// Cost-model drift report, when the session was configured with
     /// [`Session::with_drift`] *and* the registry was collected.
@@ -642,17 +578,14 @@ fn shared_attempt(
         .map(|_| Mutex::new(KernelWorkspace::new()))
         .collect();
 
-    // Span recorder (compiled to nothing without the `obs` feature). The
+    // Span recorder, built only when a trace is asked for. The
     // per-worker logs are preallocated here, so tracing costs no
     // steady-state allocations on the kernel hot path.
-    let obs = if cfg.collect_trace && ExecObs::enabled() {
-        Some(ExecObs::new(dag.graph.len(), nthreads))
-    } else {
-        None
-    };
+    let obs = cfg
+        .collect_trace
+        .then(|| ExecObs::new(dag.graph.len(), nthreads));
     // Always-on metrics registry, one shard per worker. Recording is a
-    // few relaxed atomic adds per task; with the runtime's `metrics`
-    // feature off the calls are no-ops and the snapshot merges empty.
+    // few relaxed atomic adds per task.
     let registry = cfg.collect_metrics.then(|| Registry::new(nthreads));
     if let Some(reg) = &registry {
         reg.add(0, Counter::PlanCacheHits, ev.hits);
@@ -846,8 +779,8 @@ fn shared_attempt(
 
     // Rank evolution, buffer-growth counts and arena high-water marks
     // live in the per-worker workspaces; drain them once now that the
-    // workers are done. Both the always-on registry and the obs metrics
-    // consume the same drained state.
+    // workers are done. Both the always-on registry and the traced
+    // metrics consume the same drained state.
     let mut rank_evolution = RankEvolution::default();
     let mut workspace_alloc_events = 0u64;
     for (wid, ws) in workspaces.iter().enumerate() {
@@ -929,16 +862,14 @@ fn shared_attempt(
 ///
 /// All placement and ordering decisions come off the [`SymbolicPlan`]'s
 /// [`DistStatic`](crate::plan) machinery; this function only moves
-/// tiles, runs kernels, and feeds measured traffic back into whichever
-/// re-planner the session layers (embedded-in-plan or the deprecated
-/// external `RefCell`).
+/// tiles, runs kernels, and feeds measured traffic back into the plan's
+/// embedded re-planner, if any.
 #[allow(clippy::too_many_arguments)]
 fn distributed_attempt(
     matrix: &mut TlrMatrix,
     cfg: &FactorConfig,
     nprocs: usize,
     ft: Option<&FtConfig>,
-    replan: Option<&RefCell<CommReplanner>>,
     plan: &SymbolicPlan,
     drift: Option<&DriftSpec>,
     ev: CacheEvents,
@@ -958,10 +889,6 @@ fn distributed_attempt(
     let initial = scatter_tiles(matrix, &map.placement, nprocs);
     let env = kernel_env(dag, &ds.preds, cfg, tile_size);
 
-    // The virtual-time trace is gated like the shared-memory one: only
-    // when tracing is requested *and* compiled in, so `collect_trace`
-    // means the same thing on every path.
-    //
     // The metrics registry shards per emulated rank: task counts and
     // virtual per-class durations land in the executing rank's shard,
     // comm/fault/integrity totals fold into shard 0 at end of run.
@@ -973,7 +900,7 @@ fn distributed_attempt(
     }
     let dist_cfg = DistConfig {
         ft,
-        record_trace: cfg.collect_trace && ExecObs::enabled(),
+        record_trace: cfg.collect_trace,
         // Every path below runs `run_planned`: the plan's precomputed
         // order *is* the schedule, so no policy is passed down.
         sched: None,
@@ -1093,9 +1020,6 @@ fn distributed_attempt(
             // the old mapping simply stays in force.
             let _ = ds.refresh(dag, plan.nt, cfg.sched, overrides);
         }
-    }
-    if let Some(rc) = replan {
-        rc.borrow_mut().observe(&dag.graph, &planned_exec, &out.comm);
     }
     let registry = registry.map(|r| r.snapshot());
     // Drift compares at original-task granularity: the model prices

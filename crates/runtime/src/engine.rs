@@ -29,10 +29,6 @@
 //! hot path is wall-clock critical, so its hooks are monomorphized
 //! traits; the distributed loop runs in virtual time where a branch is
 //! free, so its capabilities are plain config data.
-//!
-//! The legacy entry points (`execute*`, `execute_distributed*`) survive
-//! as `#[deprecated]` one-line shims in [`crate::executor`] and
-//! [`crate::distributed`].
 
 use crate::des::CommStats;
 use crate::fault::{FaultStats, FtConfig, FtError, IntegrityError};
@@ -46,12 +42,8 @@ use crate::trace::{TaskRecord, Trace};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-#[cfg(feature = "obs")]
-use std::sync::atomic::AtomicU64;
-#[cfg(feature = "obs")]
 use std::time::Instant;
 
 // ===================== capability hooks =====================
@@ -203,23 +195,17 @@ impl ExecReport {
 
 /// Observation hooks for one engine run.
 ///
-/// With the `obs` cargo feature enabled this captures, per task, the
-/// enqueue (ready) time, the execute start/end times, and the executing
-/// worker, plus per-worker steal counters — everything
-/// [`crate::obs::RunMetrics`] and the Chrome-trace exporter need. Without
-/// the feature every method is an inline no-op and the struct is
-/// zero-sized, so the hot path of an unobserved build is untouched (the
-/// counting-allocator harness in `tests/alloc_free.rs` holds either way:
-/// all span storage is preallocated up front in [`ExecObs::new`]).
-#[derive(Debug, Default)]
-pub struct ExecObs {
-    #[cfg(feature = "obs")]
-    inner: Option<ObsInner>,
-}
-
-#[cfg(feature = "obs")]
+/// Captures, per task, the enqueue (ready) time, the execute start/end
+/// times, and the executing worker, plus per-worker steal counters —
+/// everything [`crate::obs::RunMetrics`] and the Chrome-trace exporter
+/// need. Span capture is opt-in per run: callers build an `ExecObs`
+/// only when a trace is asked for and pass `None` otherwise, so an
+/// untraced run's hot path is untouched. All span storage is
+/// preallocated in [`ExecObs::new`], so the per-task hooks never
+/// allocate (the counting-allocator harness in `tests/alloc_free.rs`
+/// holds on a traced run too).
 #[derive(Debug)]
-struct ObsInner {
+pub struct ExecObs {
     t0: Instant,
     /// Nanoseconds since `t0` at which each task became ready.
     enqueue_ns: Vec<AtomicU64>,
@@ -231,71 +217,46 @@ struct ObsInner {
 }
 
 impl ExecObs {
-    /// Whether span capture is compiled in (`obs` cargo feature).
-    pub const fn enabled() -> bool {
-        cfg!(feature = "obs")
-    }
-
     /// Prepare storage for a graph of `ntasks` tasks on `nthreads`
     /// workers. All vectors are sized up front: the per-task hooks never
     /// allocate (each worker's log reserves room for every task, since in
     /// the worst case one worker runs the whole graph).
-    #[allow(unused_variables)]
     pub fn new(ntasks: usize, nthreads: usize) -> Self {
-        #[cfg(feature = "obs")]
-        {
-            ExecObs {
-                inner: Some(ObsInner {
-                    t0: Instant::now(),
-                    enqueue_ns: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-                    logs: (0..nthreads.max(1))
-                        .map(|_| Mutex::new(Vec::with_capacity(ntasks)))
-                        .collect(),
-                    steals: (0..nthreads.max(1)).map(|_| AtomicU64::new(0)).collect(),
-                }),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            ExecObs::default()
+        ExecObs {
+            t0: Instant::now(),
+            enqueue_ns: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
+            logs: (0..nthreads.max(1))
+                .map(|_| Mutex::new(Vec::with_capacity(ntasks)))
+                .collect(),
+            steals: (0..nthreads.max(1)).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     /// Harvest the captured spans into an [`ExecReport`], resolving task
-    /// class and tile coordinates against `graph`. Returns an empty report
-    /// when the `obs` feature is off.
-    #[allow(unused_variables)]
+    /// class and tile coordinates against `graph`.
     pub fn finish(&self, graph: &TaskGraph) -> ExecReport {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            let mut trace = Trace::default();
-            for (wid, log) in inner.logs.iter().enumerate() {
-                let log = log.lock().unwrap_or_else(|e| e.into_inner());
-                for &(t, start_ns, end_ns) in log.iter() {
-                    let spec = graph.spec(t);
-                    let queued_ns = inner.enqueue_ns[t].load(Ordering::Relaxed).min(start_ns);
-                    trace.push_record(TaskRecord {
-                        task: t,
-                        class: spec.class,
-                        proc: wid,
-                        data: spec.writes,
-                        queued: queued_ns as f64 * 1e-9,
-                        start: start_ns as f64 * 1e-9,
-                        end: end_ns as f64 * 1e-9,
-                    });
-                }
+        let mut trace = Trace::default();
+        for (wid, log) in self.logs.iter().enumerate() {
+            let log = log.lock().unwrap_or_else(|e| e.into_inner());
+            for &(t, start_ns, end_ns) in log.iter() {
+                let spec = graph.spec(t);
+                let queued_ns = self.enqueue_ns[t].load(Ordering::Relaxed).min(start_ns);
+                trace.push_record(TaskRecord {
+                    task: t,
+                    class: spec.class,
+                    proc: wid,
+                    data: spec.writes,
+                    queued: queued_ns as f64 * 1e-9,
+                    start: start_ns as f64 * 1e-9,
+                    end: end_ns as f64 * 1e-9,
+                });
             }
-            trace.records.sort_by(|a, b| a.end.total_cmp(&b.end));
-            return ExecReport {
-                trace,
-                steals: inner
-                    .steals
-                    .iter()
-                    .map(|s| s.load(Ordering::Relaxed))
-                    .collect(),
-            };
         }
-        ExecReport::default()
+        trace.records.sort_by(|a, b| a.end.total_cmp(&b.end));
+        ExecReport {
+            trace,
+            steals: self.steals.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+        }
     }
 
     /// Record an explicit span for `task` on worker `wid`, with both
@@ -305,57 +266,35 @@ impl ExecObs {
     /// a fused engine task measures each member kernel itself and reports
     /// the members here (suppressing the fused task's own
     /// [`Observe::on_retire`]), so per-task attribution, `RunMetrics`,
-    /// and trace exports keep seeing individual kernels. No-op (and
-    /// allocation-free — the per-worker logs are preallocated) without
-    /// the `obs` feature.
+    /// and trace exports keep seeing individual kernels. Allocation-free:
+    /// the per-worker logs are preallocated.
     #[inline]
-    #[allow(unused_variables)]
     pub fn record_span(&self, wid: usize, task: TaskId, start_ns: u64, end_ns: u64) {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            let mut log = inner.logs[wid].lock().unwrap_or_else(|e| e.into_inner());
-            log.push((task, start_ns, end_ns));
-        }
+        let mut log = self.logs[wid].lock().unwrap_or_else(|e| e.into_inner());
+        log.push((task, start_ns, end_ns));
     }
 }
 
 impl Observe for ExecObs {
     #[inline]
     fn now_ns(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            return inner.t0.elapsed().as_nanos() as u64;
-        }
-        0
+        self.t0.elapsed().as_nanos() as u64
     }
 
     #[inline]
-    #[allow(unused_variables)]
     fn on_enqueue(&self, t: TaskId) {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            inner.enqueue_ns[t].store(inner.t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
+        self.enqueue_ns[t].store(self.now_ns(), Ordering::Relaxed);
     }
 
     #[inline]
-    #[allow(unused_variables)]
     fn on_retire(&self, wid: usize, t: TaskId, start_ns: u64) {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            let end = inner.t0.elapsed().as_nanos() as u64;
-            let mut log = inner.logs[wid].lock().unwrap_or_else(|e| e.into_inner());
-            log.push((t, start_ns, end));
-        }
+        let end = self.now_ns();
+        self.record_span(wid, t, start_ns, end);
     }
 
     #[inline]
-    #[allow(unused_variables)]
     fn on_steal(&self, wid: usize) {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            inner.steals[wid].fetch_add(1, Ordering::Relaxed);
-        }
+        self.steals[wid].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -379,8 +318,7 @@ impl std::fmt::Display for TaskPanic {
 impl std::error::Error for TaskPanic {}
 
 /// Typed failure of an engine run — malformed inputs are reported, not
-/// `assert!`ed (the legacy shims re-raise them as panics to preserve
-/// their documented behavior).
+/// `assert!`ed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// The task graph has a cycle (no valid schedule exists).
@@ -502,8 +440,8 @@ impl From<TaskPanic> for EngineError {
 /// Build one with [`EngineConfig::new`], then layer capabilities with
 /// [`with_cancel`](EngineConfig::with_cancel) /
 /// [`with_obs`](EngineConfig::with_obs). Each capability is a type
-/// parameter, so a run without a capability monomorphizes to the exact
-/// code the dedicated legacy entry point used to have.
+/// parameter, so a run without a capability monomorphizes to code with
+/// no trace of it.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig<'m, C = NoCancel, O = NoObserve> {
     /// Worker threads of the pool (clamped to ≥ 1).
@@ -2311,9 +2249,8 @@ mod tests {
         assert_eq!(ran.load(Ordering::SeqCst), 10);
     }
 
-    /// Observed execution: with the `obs` feature on, every task gets a
-    /// span with sane timestamps; with it off, the hooks are no-ops and
-    /// the report is empty — either way the run itself is unaffected.
+    /// Observed execution: every task gets a span with sane timestamps,
+    /// and the run itself is unaffected.
     #[test]
     fn observed_execution_captures_spans() {
         let g = chain(32);
@@ -2326,22 +2263,17 @@ mod tests {
             .unwrap();
         assert_eq!(ran.load(Ordering::Relaxed), 32);
         let rep = obs.finish(&g);
-        if ExecObs::enabled() {
-            assert_eq!(rep.trace.records.len(), 32);
-            for r in &rep.trace.records {
-                assert!(r.queued <= r.start + 1e-12);
-                assert!(r.start <= r.end);
-                assert!(r.proc < 2);
-            }
-            // Records come back sorted by end time.
-            for w in rep.trace.records.windows(2) {
-                assert!(w[0].end <= w[1].end);
-            }
-            assert_eq!(rep.steals.len(), 2);
-        } else {
-            assert!(rep.trace.records.is_empty());
-            assert!(rep.steals.is_empty());
+        assert_eq!(rep.trace.records.len(), 32);
+        for r in &rep.trace.records {
+            assert!(r.queued <= r.start + 1e-12);
+            assert!(r.start <= r.end);
+            assert!(r.proc < 2);
         }
+        // Records come back sorted by end time.
+        for w in rep.trace.records.windows(2) {
+            assert!(w[0].end <= w[1].end);
+        }
+        assert_eq!(rep.steals.len(), 2);
     }
 
     /// An optional observer threads through as `Option<&ExecObs>`.
@@ -2750,8 +2682,410 @@ mod tests {
             .any(|e| matches!(e, RunEvent::Crash { .. })));
     }
 
-    /// Misconfiguration is a typed error, not a panic (satellite: the
-    /// legacy asserts became [`EngineError`]).
+    /// Behaviour of the distributed loop: message routing, parking of
+    /// early arrivals, and the fault layer.
+    mod dist_behaviour {
+        use super::*;
+        use super::dspec as spec;
+        use crate::fault::RetryConfig;
+
+        fn run_dist<P: Clone, F: Fn(TaskId, &mut RankCtx<'_, P>) -> P>(
+            graph: &TaskGraph,
+            nprocs: usize,
+            exec: &[usize],
+            initial: Vec<HashMap<DataRef, P>>,
+            body: F,
+        ) -> Vec<HashMap<DataRef, P>> {
+            DistEngine::new(graph, nprocs, exec)
+                .run(initial, &DistConfig::default(), body)
+                .expect("run must succeed")
+                .stores
+        }
+
+        /// Sum-chain across ranks: task k computes v_k = v_{k-1} + 1, each on
+        /// a different rank; the payload must travel through every rank.
+        #[test]
+        fn chain_across_ranks() {
+            let n = 12usize;
+            let nprocs = 4usize;
+            let mut g = TaskGraph::new();
+            for k in 0..n {
+                g.add_task(spec(k, DataRef { i: k, j: 0 }));
+            }
+            for k in 0..n - 1 {
+                g.add_edge(k, k + 1, DataRef { i: k, j: 0 }, 8);
+            }
+            let exec: Vec<usize> = (0..n).map(|k| k % nprocs).collect();
+            let mut initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
+            initial[0].insert(DataRef { i: 0, j: 0 }, 0); // seed... overwritten by task 0
+            let stores = run_dist(&g, nprocs, &exec, initial, |t, ctx| {
+                let v = if t == 0 {
+                    1
+                } else {
+                    // the predecessor's payload was shipped (or is local)
+                    *ctx.get(Some(t - 1), DataRef { i: t - 1, j: 0 }) + 1
+                };
+                ctx.put(DataRef { i: t, j: 0 }, v);
+                v
+            });
+            // task n−1 ran on rank (n−1)%nprocs and stored v = n
+            let last_rank = (n - 1) % nprocs;
+            assert_eq!(stores[last_rank][&DataRef { i: n - 1, j: 0 }], n as i64);
+        }
+
+        /// Broadcast: one producer, many consumers on all ranks; every
+        /// consumer must observe the produced value.
+        #[test]
+        fn broadcast_to_all_ranks() {
+            let nprocs = 5usize;
+            let consumers = 16usize;
+            let mut g = TaskGraph::new();
+            let root = g.add_task(spec(0, DataRef { i: 0, j: 0 }));
+            let data = DataRef { i: 0, j: 0 };
+            for c in 0..consumers {
+                let t = g.add_task(spec(1, DataRef { i: 1 + c, j: 0 }));
+                g.add_edge(root, t, data, 8);
+            }
+            let mut exec = vec![0usize];
+            exec.extend((0..consumers).map(|c| c % nprocs));
+            let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
+            let stores = run_dist(&g, nprocs, &exec, initial, move |t, ctx| {
+                if t == 0 {
+                    ctx.put(data, 42);
+                    42
+                } else {
+                    let v = *ctx.get(Some(0), data);
+                    ctx.put(DataRef { i: t, j: 0 }, v * 2);
+                    v * 2
+                }
+            });
+            let mut seen = 0;
+            for s in &stores {
+                for (d, v) in s {
+                    if d.i >= 1 {
+                        assert_eq!(*v, 84);
+                        seen += 1;
+                    }
+                }
+            }
+            assert_eq!(seen, consumers);
+        }
+
+        /// Out-of-order arrivals: two producers on different ranks feed one
+        /// consumer; deliveries land in whatever virtual-time order the
+        /// latencies dictate and must be held per consumer until it is ready.
+        #[test]
+        fn out_of_order_messages_parked() {
+            let mut g = TaskGraph::new();
+            let a = g.add_task(spec(0, DataRef { i: 0, j: 0 }));
+            let b = g.add_task(spec(0, DataRef { i: 1, j: 0 }));
+            let c = g.add_task(spec(1, DataRef { i: 2, j: 0 }));
+            g.add_edge(a, c, DataRef { i: 0, j: 0 }, 8);
+            g.add_edge(b, c, DataRef { i: 1, j: 0 }, 8);
+            let exec = vec![0, 1, 2];
+            let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 3];
+            let stores = run_dist(&g, 3, &exec, initial, move |t, ctx| match t {
+                0 => {
+                    ctx.put(DataRef { i: 0, j: 0 }, 7);
+                    7
+                }
+                1 => {
+                    ctx.put(DataRef { i: 1, j: 0 }, 11);
+                    11
+                }
+                _ => {
+                    let x = *ctx.get(Some(0), DataRef { i: 0, j: 0 });
+                    let y = *ctx.get(Some(1), DataRef { i: 1, j: 0 });
+                    ctx.put(DataRef { i: 2, j: 0 }, x * y);
+                    x * y
+                }
+            });
+            assert_eq!(stores[2][&DataRef { i: 2, j: 0 }], 77);
+        }
+
+        /// Two consumers of the same datum on one rank, with one consumer
+        /// gated behind a slower producer: each consumer's copy must be held
+        /// independently. (Under the old thread engine the shared parking
+        /// table was a multiset for exactly this scenario; the unified
+        /// engine's per-consumer inboxes make it structural.)
+        #[test]
+        fn duplicate_parked_messages_are_not_lost() {
+            let mut g = TaskGraph::new();
+            let fast = g.add_task(spec(0, DataRef { i: 0, j: 0 })); // rank 1
+            let slow = g.add_task(spec(0, DataRef { i: 1, j: 0 })); // rank 2
+            // rank 0's first task waits on `slow`, so both copies of `fast`'s
+            // payload arrive before their consumers run.
+            let gate = g.add_task(spec(1, DataRef { i: 2, j: 0 }));
+            let c1 = g.add_task(spec(2, DataRef { i: 3, j: 0 }));
+            let c2 = g.add_task(spec(3, DataRef { i: 4, j: 0 }));
+            let d_fast = DataRef { i: 0, j: 0 };
+            let d_slow = DataRef { i: 1, j: 0 };
+            g.add_edge(slow, gate, d_slow, 8);
+            g.add_edge(fast, c1, d_fast, 8);
+            g.add_edge(fast, c2, d_fast, 8);
+            g.add_edge(gate, c1, DataRef { i: 2, j: 0 }, 0);
+
+            let exec = vec![1, 2, 0, 0, 0];
+            let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 3];
+            let stores = run_dist(&g, 3, &exec, initial, move |t, ctx| match t {
+                0 => {
+                    ctx.put(d_fast, 5);
+                    5
+                }
+                1 => {
+                    ctx.put(d_slow, 7);
+                    7
+                }
+                2 => {
+                    let v = *ctx.get(Some(1), d_slow);
+                    ctx.put(DataRef { i: 2, j: 0 }, v);
+                    v
+                }
+                3 => {
+                    let v = *ctx.get(Some(0), d_fast) * 10;
+                    ctx.put(DataRef { i: 3, j: 0 }, v);
+                    v
+                }
+                _ => {
+                    let v = *ctx.get(Some(0), d_fast) * 100;
+                    ctx.put(DataRef { i: 4, j: 0 }, v);
+                    v
+                }
+            });
+            assert_eq!(stores[0][&DataRef { i: 3, j: 0 }], 50);
+            assert_eq!(stores[0][&DataRef { i: 4, j: 0 }], 500);
+        }
+
+        // ---------------- fault layer ----------------
+
+        fn run_chain_ft(
+            n: usize,
+            nprocs: usize,
+            cfg: &FtConfig,
+        ) -> Result<DistOutcome<i64>, EngineError> {
+            let dcfg = DistConfig { ft: Some(cfg), record_trace: false, sched: None, metrics: None };
+            run_chain(n, nprocs, &dcfg)
+        }
+
+        #[test]
+        fn ft_fault_free_matches_default_config() {
+            let out = run_chain_ft(12, 4, &FtConfig::fault_free()).unwrap();
+            assert_eq!(chain_result(&out, 12), 12);
+            assert_eq!(out.stats.retransmissions, 0);
+            assert_eq!(out.stats.crashes, 0);
+            assert!(out.makespan > 0.0);
+        }
+
+        #[test]
+        fn ft_survives_drops_duplicates_and_jitter() {
+            let plan = FaultPlan::new(42)
+                .with_drops(0.35)
+                .with_duplicates(0.30)
+                .with_ack_drops(0.25)
+                .with_jitter(2.0);
+            let cfg = FtConfig::with_plan(plan);
+            let out = run_chain_ft(16, 4, &cfg).unwrap();
+            assert_eq!(chain_result(&out, 16), 16, "faults must not corrupt the data");
+            assert!(out.stats.retransmissions > 0, "drops at 35% must force retransmits");
+            assert!(out.stats.messages_dropped > 0);
+        }
+
+        #[test]
+        fn ft_recovers_from_mid_run_crash() {
+            // By t = 6.0 rank 1 has completed task 1 (and its message);
+            // killing it forces migration to rank 2 and re-execution.
+            let cfg = FtConfig::with_plan(FaultPlan::new(1).with_crash(1, 6.0));
+            let out = run_chain_ft(12, 4, &cfg).unwrap();
+            assert_eq!(chain_result(&out, 12), 12, "crash recovery must preserve the data");
+            assert_eq!(out.stats.crashes, 1);
+            assert!(out.stats.tasks_migrated >= 3, "rank 1 owned tasks 1, 5, 9");
+            assert!(out.stats.tasks_reexecuted >= 1, "task 1 was already done");
+            assert!(out.exec_rank.iter().all(|&r| r != 1), "nothing may stay on the dead rank");
+            // Re-execution happens in parallel on the survivor, so a chain's
+            // makespan may be unchanged — but it can never shrink.
+            let baseline = run_chain_ft(12, 4, &FtConfig::fault_free()).unwrap();
+            assert!(out.makespan >= baseline.makespan);
+        }
+
+        #[test]
+        fn ft_crash_plus_lossy_network() {
+            let plan = FaultPlan::new(9)
+                .with_drops(0.25)
+                .with_duplicates(0.2)
+                .with_jitter(1.0)
+                .with_crash(2, 8.0);
+            let out = run_chain_ft(16, 4, &FtConfig::with_plan(plan)).unwrap();
+            assert_eq!(chain_result(&out, 16), 16);
+            assert_eq!(out.stats.crashes, 1);
+        }
+
+        #[test]
+        fn ft_double_crash_still_recovers() {
+            let plan = FaultPlan::new(4).with_crash(1, 5.0).with_crash(2, 11.0);
+            let out = run_chain_ft(12, 4, &FtConfig::with_plan(plan)).unwrap();
+            assert_eq!(chain_result(&out, 12), 12);
+            assert_eq!(out.stats.crashes, 2);
+        }
+
+        /// Every surviving crash is paired with a recovery event naming a
+        /// live survivor, in virtual-time order; bytes are accounted.
+        #[test]
+        fn ft_events_pair_crashes_with_recoveries() {
+            let plan = FaultPlan::new(4).with_drops(0.2).with_crash(1, 5.0).with_crash(2, 11.0);
+            let out = run_chain_ft(12, 4, &FtConfig::with_plan(plan)).unwrap();
+            assert_eq!(out.events.len(), 2 * out.stats.crashes);
+            let mut last_at = 0.0_f64;
+            for pair in out.events.chunks(2) {
+                let RunEvent::Crash { rank, at } = pair[0] else {
+                    panic!("even-index event must be a crash: {:?}", pair[0]);
+                };
+                let RunEvent::Recovery { failed, survivor, at: rat } = pair[1] else {
+                    panic!("odd-index event must be a recovery: {:?}", pair[1]);
+                };
+                assert_eq!(failed, rank, "recovery must name the crashed rank");
+                assert_ne!(survivor, rank);
+                assert_eq!(at, rat, "recovery is immediate in virtual time");
+                assert!(at >= last_at);
+                last_at = at;
+            }
+            assert!(out.stats.bytes_sent >= 8 * out.stats.messages_sent as u64);
+        }
+
+        #[test]
+        fn ft_all_ranks_crashed_is_an_error() {
+            let plan = FaultPlan::new(0).with_crash(0, 2.0).with_crash(1, 3.0);
+            let err = run_chain_ft(8, 2, &FtConfig::with_plan(plan)).unwrap_err();
+            assert_eq!(err, EngineError::Fault(FtError::AllRanksCrashed));
+        }
+
+        #[test]
+        fn ft_kernel_failures_retry_then_succeed() {
+            let cfg = FtConfig::with_plan(FaultPlan::new(0).with_kernel_failure(3, 2));
+            let out = run_chain_ft(8, 2, &cfg).unwrap();
+            assert_eq!(chain_result(&out, 8), 8);
+            assert_eq!(out.stats.kernel_failures, 2);
+        }
+
+        #[test]
+        fn ft_kernel_retries_exhaust() {
+            let mut cfg = FtConfig::with_plan(FaultPlan::new(0).with_kernel_failure(3, 99));
+            cfg.retry = RetryConfig { max_kernel_retries: 3, ..RetryConfig::default() };
+            let err = run_chain_ft(8, 2, &cfg).unwrap_err();
+            assert_eq!(err, EngineError::Fault(FtError::KernelRetriesExhausted { task: 3 }));
+        }
+
+        #[test]
+        fn ft_is_deterministic() {
+            let mk = || {
+                FtConfig::with_plan(
+                    FaultPlan::new(77)
+                        .with_drops(0.3)
+                        .with_duplicates(0.25)
+                        .with_ack_drops(0.2)
+                        .with_jitter(1.5)
+                        .with_crash(1, 7.0),
+                )
+            };
+            let a = run_chain_ft(14, 4, &mk()).unwrap();
+            let b = run_chain_ft(14, 4, &mk()).unwrap();
+            assert_eq!(chain_result(&a, 14), chain_result(&b, 14));
+            assert_eq!(a.stats, b.stats, "same seed must replay the same faults");
+            assert_eq!(a.makespan, b.makespan);
+            assert_eq!(a.exec_rank, b.exec_rank);
+        }
+
+        #[test]
+        fn ft_fan_out_fan_in_under_faults() {
+            // root → 10 middles (round-robin ranks) → sink summing them all;
+            // exercises broadcast replay and many-input gathering.
+            let width = 10usize;
+            let nprocs = 4usize;
+            let mut g = TaskGraph::new();
+            let root = g.add_task(spec(0, DataRef { i: 0, j: 0 }));
+            let sink_data = DataRef { i: 99, j: 0 };
+            let mut mids = Vec::new();
+            for m in 0..width {
+                let t = g.add_task(spec(1, DataRef { i: 1 + m, j: 0 }));
+                g.add_edge(root, t, DataRef { i: 0, j: 0 }, 8);
+                mids.push(t);
+            }
+            let sink = g.add_task(spec(2, sink_data));
+            for (m, &t) in mids.iter().enumerate() {
+                g.add_edge(t, sink, DataRef { i: 1 + m, j: 0 }, 8);
+            }
+            let mut exec = vec![0usize];
+            exec.extend((0..width).map(|m| m % nprocs));
+            exec.push(0);
+            let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
+            let plan = FaultPlan::new(5)
+                .with_drops(0.3)
+                .with_duplicates(0.3)
+                .with_jitter(1.0)
+                .with_crash(2, 3.0);
+            let ft = FtConfig::with_plan(plan);
+            let dcfg = DistConfig { ft: Some(&ft), record_trace: false, sched: None, metrics: None };
+            let out = DistEngine::new(&g, nprocs, &exec)
+                .run(initial, &dcfg, |t, ctx| {
+                    if t == root {
+                        ctx.put(DataRef { i: 0, j: 0 }, 7);
+                        7
+                    } else if t == sink {
+                        let mut sum = 0;
+                        for m in 0..width {
+                            sum += *ctx.get(Some(1 + m), DataRef { i: 1 + m, j: 0 });
+                        }
+                        ctx.put(sink_data, sum);
+                        sum
+                    } else {
+                        let v = *ctx.get(Some(root), DataRef { i: 0, j: 0 }) * 2;
+                        ctx.put(DataRef { i: t, j: 0 }, v);
+                        v
+                    }
+                })
+                .unwrap();
+            let v = out.stores[out.exec_rank[sink]][&sink_data];
+            assert_eq!(v, (7 * 2) * width as i64);
+        }
+
+        #[test]
+        fn ft_many_seeds_never_corrupt() {
+            for seed in 0..25u64 {
+                let plan = FaultPlan::new(seed)
+                    .with_drops(0.3)
+                    .with_duplicates(0.25)
+                    .with_ack_drops(0.2)
+                    .with_jitter(1.5)
+                    .with_crash((seed % 3) as usize + 1, 4.0 + (seed % 7) as f64);
+                let out = run_chain_ft(12, 4, &FtConfig::with_plan(plan))
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                assert_eq!(chain_result(&out, 12), 12, "seed {seed} corrupted the chain");
+            }
+        }
+
+        /// A task whose input was never wired panics with the diagnostic.
+        #[test]
+        fn missing_edge_panics_with_diagnostic() {
+            let mut g = TaskGraph::new();
+            let _a = g.add_task(spec(0, DataRef { i: 0, j: 0 }));
+            let _b = g.add_task(spec(1, DataRef { i: 1, j: 0 }));
+            // no edge a → b although b reads a's datum
+            let exec = vec![0, 1];
+            let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 2];
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = DistEngine::new(&g, 2, &exec).run(initial, &DistConfig::default(), |t, ctx| {
+                    if t == 0 {
+                        ctx.put(DataRef { i: 0, j: 0 }, 1);
+                        1
+                    } else {
+                        *ctx.get(None, DataRef { i: 0, j: 0 }) // not local on rank 1!
+                    }
+                });
+            }));
+            assert!(result.is_err(), "missing dependency must be caught");
+        }
+    }
+
+    /// Misconfiguration is a typed error ([`EngineError`]), not a panic.
     #[test]
     fn invalid_configs_are_typed_errors() {
         let g = dist_chain(4);

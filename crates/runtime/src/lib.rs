@@ -15,9 +15,7 @@
 //!   kernels, validates every configuration at laptop scale) and one
 //!   distributed [`engine::DistEngine`] (deterministic virtual-time
 //!   message-passing emulation with an optional fault layer), each
-//!   driven by a config of composable capability hooks. The legacy
-//!   entry points in [`executor`] and [`distributed`] are deprecated
-//!   shims over these.
+//!   driven by a config of composable capability hooks.
 //! * [`des`] — a discrete-event simulator of distributed execution: `P`
 //!   processes × `cores` each, binomial-tree broadcasts, a latency/
 //!   bandwidth link model and per-task runtime overheads. This is the
@@ -27,17 +25,13 @@
 //! * [`critical_path`] — the longest-path "roofline" bound of §VIII-G.
 //! * [`trace`] — execution traces and per-class time breakdowns (Fig. 11).
 //! * [`obs`] — observability: Chrome-trace (Perfetto) export, JSON/CSV
-//!   metrics dumps, and structured crash/recovery events. Hot-path span
-//!   capture in the executor is gated behind the `obs` cargo feature
-//!   (compiled to no-ops when disabled); this reporting layer is always
-//!   available.
+//!   metrics dumps, structured crash/recovery events, and the always-on
+//!   metrics registry. Per-task span capture ([`ExecObs`]) is opt-in per
+//!   run; an untraced run passes no observer and pays nothing for it.
 
 pub mod critical_path;
 pub mod des;
-pub mod distributed;
-pub mod dtd;
 pub mod engine;
-pub mod executor;
 pub mod fault;
 pub mod graph;
 pub mod machine;
@@ -54,8 +48,6 @@ pub use engine::{
     Cancel, DistConfig, DistEngine, DistOutcome, Engine, EngineConfig, EngineError, ExecObs,
     ExecReport, IntegrityHooks, NoCancel, NoObserve, Observe, RankCtx, TaskPanic,
 };
-#[allow(deprecated)]
-pub use executor::{execute, execute_cancellable};
 pub use fault::{
     fault_bits, fault_unit, CorruptAt, CrashAt, FaultPlan, FaultStats, FtConfig, FtError,
     IntegrityError, RetryConfig,

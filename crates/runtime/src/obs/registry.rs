@@ -2,14 +2,10 @@
 //! log-bucketed (HDR-style) histograms, sharded per worker/rank so the
 //! hot path never contends on a cache line and never allocates.
 //!
-//! Unlike the `obs` feature (per-task span capture, compiled out by
-//! default), the registry is part of the default build: recording a
-//! sample is a handful of relaxed atomic adds on a pre-allocated shard,
-//! cheap enough to leave on in production. The `metrics` cargo feature
-//! (on by default) gates the storage; with `--no-default-features`
-//! every recording method compiles to a no-op and [`Registry::snapshot`]
-//! returns an empty [`RegistrySnapshot`], so the type-level wiring
-//! (engine configs, session plumbing) costs nothing.
+//! Unlike per-task span capture (opt-in per run, see
+//! `engine::ExecObs`), the registry is always on: recording a sample is
+//! a handful of relaxed atomic adds on a pre-allocated shard, cheap
+//! enough to leave on in production.
 //!
 //! Aggregation happens once, at report time: [`Registry::snapshot`]
 //! merges all shards into a [`RegistrySnapshot`] — plain owned data that
@@ -20,6 +16,7 @@ use crate::graph::TaskClass;
 use crate::obs::json::Json;
 use crate::trace::ClassBreakdown;
 use std::fmt;
+use std::sync::atomic::Ordering::Relaxed;
 
 /// Number of task classes tracked per-class state (`Potrf`, `Trsm`,
 /// `Syrk`, `Gemm`, `Other`).
@@ -283,7 +280,7 @@ impl RegistrySnapshot {
         self.gauges.get(g as usize).map_or(0.0, |&(_, v)| v)
     }
 
-    /// True when nothing was recorded (or metrics are compiled out).
+    /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.iter().all(|&(_, v)| v == 0)
             && self.class_duration_ns.iter().all(|h| h.count == 0)
@@ -394,21 +391,18 @@ impl RegistrySnapshot {
 
 /// Index of the log2 bucket holding `v`: 0 for 0, else `64 - lz(v)`
 /// (bucket `b` spans `[2^(b-1), 2^b - 1]`).
-#[cfg(feature = "metrics")]
 fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
 /// Inclusive upper bound of bucket `b` (`2^b - 1`; bucket 0 holds 0).
-#[cfg(feature = "metrics")]
 fn bucket_bound(b: usize) -> u64 {
     if b == 0 { 0 } else if b >= 64 { u64::MAX } else { (1u64 << b) - 1 }
 }
 
-#[cfg(feature = "metrics")]
 mod storage {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::atomic::AtomicU64;
 
     const NBUCKETS: usize = 65;
 
@@ -430,11 +424,12 @@ mod storage {
     }
 
     impl LogHist {
+        /// Record `n` samples of value `v`.
         #[inline]
-        pub(super) fn record(&self, v: u64) {
-            self.buckets[bucket_of(v)].fetch_add(1, Relaxed);
-            self.count.fetch_add(1, Relaxed);
-            self.sum.fetch_add(v, Relaxed);
+        pub(super) fn record_n(&self, v: u64, n: u64) {
+            self.buckets[bucket_of(v)].fetch_add(n, Relaxed);
+            self.count.fetch_add(n, Relaxed);
+            self.sum.fetch_add(v.saturating_mul(n), Relaxed);
         }
 
         pub(super) fn merge_into(&self, dst: &mut HistSummary) {
@@ -491,21 +486,14 @@ mod storage {
 /// rank (DES); every recording method takes the caller's shard index
 /// (reduced modulo the shard count) and touches only relaxed atomics in
 /// pre-allocated storage — zero allocations after [`Registry::new`].
-///
-/// With the `metrics` feature off (non-default), the registry holds no
-/// storage and every method is a no-op that the optimizer deletes.
 pub struct Registry {
-    #[cfg(feature = "metrics")]
     shards: Box<[storage::Shard]>,
-    #[cfg(not(feature = "metrics"))]
-    nshards: usize,
 }
 
 impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Registry")
             .field("shards", &self.shards())
-            .field("compiled", &Self::compiled())
             .finish()
     }
 }
@@ -513,35 +501,14 @@ impl fmt::Debug for Registry {
 impl Registry {
     /// A registry with `max(1, nshards)` shards.
     pub fn new(nshards: usize) -> Self {
-        let n = nshards.max(1);
-        #[cfg(feature = "metrics")]
-        {
-            Registry { shards: (0..n).map(|_| storage::Shard::default()).collect() }
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            Registry { nshards: n }
-        }
-    }
-
-    /// Whether metric storage is compiled in (`metrics` feature).
-    pub const fn compiled() -> bool {
-        cfg!(feature = "metrics")
+        Registry { shards: (0..nshards.max(1)).map(|_| storage::Shard::default()).collect() }
     }
 
     /// Shard count.
     pub fn shards(&self) -> usize {
-        #[cfg(feature = "metrics")]
-        {
-            self.shards.len()
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            self.nshards
-        }
+        self.shards.len()
     }
 
-    #[cfg(feature = "metrics")]
     #[inline]
     fn shard(&self, i: usize) -> &storage::Shard {
         &self.shards[i % self.shards.len()]
@@ -550,15 +517,7 @@ impl Registry {
     /// Add `delta` to a counter on `shard`.
     #[inline]
     pub fn add(&self, shard: usize, c: Counter, delta: u64) {
-        #[cfg(feature = "metrics")]
-        {
-            use std::sync::atomic::Ordering::Relaxed;
-            self.shard(shard).counters[c as usize].fetch_add(delta, Relaxed);
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = (shard, c, delta);
-        }
+        self.shard(shard).counters[c as usize].fetch_add(delta, Relaxed);
     }
 
     /// Increment a counter on `shard` by one.
@@ -570,27 +529,13 @@ impl Registry {
     /// Raise a gauge on `shard` to at least `v` (high-water semantics).
     #[inline]
     pub fn gauge_max(&self, shard: usize, g: Gauge, v: f64) {
-        #[cfg(feature = "metrics")]
-        {
-            self.shard(shard).gauge_max(g, v);
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = (shard, g, v);
-        }
+        self.shard(shard).gauge_max(g, v);
     }
 
     /// Record one task duration (nanoseconds) for `class` on `shard`.
     #[inline]
     pub fn record_class_ns(&self, shard: usize, class: TaskClass, ns: u64) {
-        #[cfg(feature = "metrics")]
-        {
-            self.shard(shard).class_ns[class_slot(class)].record(ns);
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = (shard, class, ns);
-        }
+        self.shard(shard).class_ns[class_slot(class)].record_n(ns, 1);
     }
 
     /// Record one task duration (seconds; non-finite and negative clamp
@@ -604,28 +549,19 @@ impl Registry {
     /// Record one recompression output rank on `shard`.
     #[inline]
     pub fn record_rank(&self, shard: usize, rank: usize) {
-        #[cfg(feature = "metrics")]
-        {
-            self.shard(shard).ranks.record(rank as u64);
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = (shard, rank);
-        }
+        self.record_rank_counts(shard, rank, 1);
     }
 
     /// Bulk-record `count` recompressions that all kept `rank` columns
     /// (merging a pre-binned histogram such as `RankEvolution`'s).
+    #[inline]
     pub fn record_rank_counts(&self, shard: usize, rank: usize, count: u64) {
-        for _ in 0..count.min(1 << 20) {
-            self.record_rank(shard, rank);
-        }
+        self.shard(shard).ranks.record_n(rank as u64, count);
     }
 
     /// Merge all shards into an owned snapshot (report time only — this
     /// allocates).
     pub fn snapshot(&self) -> RegistrySnapshot {
-        #[cfg_attr(not(feature = "metrics"), allow(unused_mut))]
         let mut snap = RegistrySnapshot {
             shards: self.shards(),
             counters: Counter::ALL.iter().map(|c| (c.name(), 0u64)).collect(),
@@ -633,24 +569,20 @@ impl Registry {
             class_duration_ns: vec![HistSummary::default(); NCLASSES],
             recompression_ranks: HistSummary::default(),
         };
-        #[cfg(feature = "metrics")]
-        {
-            use std::sync::atomic::Ordering::Relaxed;
-            for shard in self.shards.iter() {
-                for (slot, cell) in snap.counters.iter_mut().zip(shard.counters.iter()) {
-                    slot.1 += cell.load(Relaxed);
-                }
-                for (slot, cell) in snap.gauges.iter_mut().zip(shard.gauges.iter()) {
-                    let v = f64::from_bits(cell.load(Relaxed));
-                    if v > slot.1 {
-                        slot.1 = v;
-                    }
-                }
-                for (dst, src) in snap.class_duration_ns.iter_mut().zip(shard.class_ns.iter()) {
-                    src.merge_into(dst);
-                }
-                shard.ranks.merge_into(&mut snap.recompression_ranks);
+        for shard in self.shards.iter() {
+            for (slot, cell) in snap.counters.iter_mut().zip(shard.counters.iter()) {
+                slot.1 += cell.load(Relaxed);
             }
+            for (slot, cell) in snap.gauges.iter_mut().zip(shard.gauges.iter()) {
+                let v = f64::from_bits(cell.load(Relaxed));
+                if v > slot.1 {
+                    slot.1 = v;
+                }
+            }
+            for (dst, src) in snap.class_duration_ns.iter_mut().zip(shard.class_ns.iter()) {
+                src.merge_into(dst);
+            }
+            shard.ranks.merge_into(&mut snap.recompression_ranks);
         }
         snap
     }
@@ -678,7 +610,6 @@ mod tests {
         assert!(prom.contains("tlr_tasks_executed_total 0"));
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn counters_and_histograms_merge_across_shards() {
         let reg = Registry::new(3);
@@ -713,7 +644,6 @@ mod tests {
         assert!(b.gemm > 0.0 && b.total() > 0.0);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn bucket_bounds_cover_u64() {
         assert_eq!(bucket_of(0), 0);
@@ -731,19 +661,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "metrics"))]
-    #[test]
-    fn metrics_off_build_records_nothing() {
-        let reg = Registry::new(4);
-        reg.incr(0, Counter::TasksExecuted);
-        reg.record_class_seconds(0, TaskClass::Gemm, 1.0);
-        reg.record_rank(0, 12);
-        reg.gauge_max(0, Gauge::ArenaHighWaterBytes, 1.0);
-        assert!(!Registry::compiled());
-        assert!(reg.snapshot().is_empty());
-        assert_eq!(reg.shards(), 4);
-    }
-
     #[test]
     fn prometheus_histogram_buckets_are_cumulative() {
         let reg = Registry::new(1);
@@ -752,11 +669,7 @@ mod tests {
         reg.record_class_ns(0, TaskClass::Gemm, 1_000_000);
         let mut prom = String::new();
         reg.snapshot().write_prometheus(&mut prom);
-        if Registry::compiled() {
-            assert!(prom.contains("tlr_task_duration_seconds_bucket{class=\"gemm\",le=\"+Inf\"} 3"));
-            assert!(prom.contains("tlr_task_duration_seconds_count{class=\"gemm\"} 3"));
-        } else {
-            assert!(prom.contains("tlr_task_duration_seconds_count{class=\"gemm\"} 0"));
-        }
+        assert!(prom.contains("tlr_task_duration_seconds_bucket{class=\"gemm\",le=\"+Inf\"} 3"));
+        assert!(prom.contains("tlr_task_duration_seconds_count{class=\"gemm\"} 3"));
     }
 }

@@ -130,10 +130,8 @@ pub struct KernelWorkspace {
     /// Buffer checkouts that had to allocate or grow (pool miss). Stays
     /// at its warm-up value once the arena reaches steady state; the
     /// observability layer reports it as the allocation-event counter.
-    #[cfg(feature = "obs")]
     alloc_events: u64,
     /// Input/output ranks of every recompression through this arena.
-    #[cfg(feature = "obs")]
     rank_log: crate::rankstat::RankEvolution,
 }
 
@@ -152,9 +150,7 @@ impl KernelWorkspace {
             taus: Vec::new(),
             svd: Svd { u: Matrix::zeros(0, 0), s: Vec::new(), v: Matrix::zeros(0, 0) },
             svd_work: SvdWork::new(),
-            #[cfg(feature = "obs")]
             alloc_events: 0,
-            #[cfg(feature = "obs")]
             rank_log: crate::rankstat::RankEvolution::default(),
         }
     }
@@ -163,9 +159,8 @@ impl KernelWorkspace {
     /// (scratch, export, and tau pools plus the reusable SVD pair).
     /// Pools only grow, so after warm-up this is the arena's high-water
     /// mark — the per-worker memory-budget number the metrics registry
-    /// reports. Always compiled (no `obs` gate): it reads capacities
-    /// already tracked by the allocator, costing a short walk of the
-    /// pool lists at report time.
+    /// reports. It reads capacities already tracked by the allocator,
+    /// costing a short walk of the pool lists at report time.
     pub fn high_water_bytes(&self) -> u64 {
         let vecs = |pool: &[Vec<f64>]| -> u64 {
             pool.iter().map(|b| b.capacity() as u64).sum::<u64>()
@@ -181,52 +176,31 @@ impl KernelWorkspace {
     }
 
     /// Pool misses so far: checkouts that allocated a fresh buffer or
-    /// grew a pooled one. Always callable; 0 without the `obs` feature.
+    /// grew a pooled one.
     pub fn alloc_events(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.alloc_events
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.alloc_events
     }
 
-    /// Drain the recompression rank log accumulated by this arena
-    /// (empty without the `obs` feature).
+    /// Drain the recompression rank log accumulated by this arena.
     pub fn take_rank_log(&mut self) -> crate::rankstat::RankEvolution {
-        #[cfg(feature = "obs")]
-        {
-            std::mem::take(&mut self.rank_log)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            crate::rankstat::RankEvolution::default()
-        }
+        std::mem::take(&mut self.rank_log)
     }
 
     /// Note one recompression's `(stacked input, kept output)` ranks.
     #[inline]
-    #[allow(unused_variables)]
     fn log_recompress(&mut self, k_in: usize, k_out: usize) {
-        #[cfg(feature = "obs")]
         self.rank_log.record(k_in, k_out);
     }
 
     /// Note a recompression that truncated to a Null tile.
     #[inline]
-    #[allow(unused_variables)]
     fn log_recompress_null(&mut self, k_in: usize) {
-        #[cfg(feature = "obs")]
         self.rank_log.record_null(k_in);
     }
 
     /// Note a recompression that fell back to Dense format.
     #[inline]
-    #[allow(unused_variables)]
     fn log_recompress_dense(&mut self, k_in: usize, k_out: usize) {
-        #[cfg(feature = "obs")]
         self.rank_log.record_dense(k_in, k_out);
     }
 
@@ -294,12 +268,8 @@ impl KernelWorkspace {
 
     /// Bump the allocation-event counter when a checkout grew.
     #[inline]
-    #[allow(unused_variables)]
     fn note_growth(&mut self, grew: bool) {
-        #[cfg(feature = "obs")]
-        if grew {
-            self.alloc_events += 1;
-        }
+        self.alloc_events += u64::from(grew);
     }
 
     fn give_to(pool: &mut Vec<Vec<f64>>, m: Matrix) {

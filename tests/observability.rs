@@ -12,7 +12,7 @@ use hicma_parsec::runtime::obs::{
     chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics,
 };
 use hicma_parsec::runtime::trace::{TaskRecord, Trace};
-use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig, Gauge, MachineModel, Registry};
+use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig, Gauge, MachineModel};
 use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, TlrMatrix};
 use proptest::prelude::*;
 
@@ -210,11 +210,9 @@ fn ft_run_records_matching_crash_recovery_pairs() {
     assert!(outcome.stats.bytes_sent >= 8 * outcome.stats.messages_sent as u64);
 }
 
-/// End-to-end acceptance (needs `--features obs`): a traced shared-memory
-/// factorization of an RBF-structured problem exports a valid Chrome
-/// trace and a metrics report with per-class, per-worker, and
-/// rank-evolution content.
-#[cfg(feature = "obs")]
+/// End-to-end acceptance: a traced shared-memory factorization of an
+/// RBF-structured problem exports a valid Chrome trace and a metrics
+/// report with per-class, per-worker, and rank-evolution content.
 #[test]
 fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
     use hicma_parsec::cholesky::factorize;
@@ -232,8 +230,9 @@ fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
 
     let mut fcfg = FactorConfig::with_accuracy(1e-6);
     fcfg.nthreads = 2;
+    fcfg.collect_trace = true;
     let report = factorize(&mut a, &fcfg).expect("RBF operator is SPD");
-    let metrics = report.metrics.expect("obs build traces by default");
+    let metrics = report.metrics.expect("a traced run reports metrics");
 
     // Chrome trace: parseable, one span per executed task, named by class
     // and tile coordinates.
@@ -264,8 +263,8 @@ fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
 
 /// Integrity incidents ride the same timeline as crashes: a run with an
 /// injected store corruption exports `corruption_detected` and
-/// `corruption_healed` instant events in its Chrome trace, even in
-/// builds without the `obs` feature (the event channel is always on).
+/// `corruption_healed` instant events in its Chrome trace, even on an
+/// untraced run (the event channel is always on).
 #[test]
 fn corruption_events_export_as_chrome_instants() {
     let n = 96;
@@ -295,7 +294,7 @@ fn corruption_events_export_as_chrome_instants() {
     assert_eq!(outcome.stats.corruptions_healed, 1);
 
     // The exporter accepts the event stream with or without a task
-    // trace; an empty trace keeps this assertion obs-feature-free.
+    // trace; this run was not traced, so an empty trace stands in.
     let text = chrome_trace_json_with_events(&Trace::default(), &outcome.events, "integrity");
     let doc = Json::parse(&text).expect("valid Chrome trace JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
@@ -309,10 +308,9 @@ fn corruption_events_export_as_chrome_instants() {
 }
 
 /// The metrics registry is on by default and feeds `RunOutcome::registry`
-/// on shared-memory runs: task counters, per-class busy time, and the
-/// workspace high-water mark all land in the snapshot. With the
-/// runtime's `metrics` feature compiled out the snapshot is still
-/// present, just empty — callers never need a `cfg` gate.
+/// on shared-memory runs: task counters, per-class busy time, the
+/// workspace high-water mark and growth count, and the recompression
+/// rank histogram all land in the snapshot of an untraced run.
 #[test]
 fn default_shared_run_populates_the_registry() {
     let n = 96;
@@ -332,25 +330,23 @@ fn default_shared_run_populates_the_registry() {
     fcfg.nthreads = 2;
     let out = Session::shared(fcfg).run(&mut m).expect("SPD");
     let snap = out.registry.expect("collect_metrics defaults to on");
-    if Registry::compiled() {
-        // Panel batching (on by default) retires *fused* tasks, so the
-        // counter is bounded by — not equal to — the DAG task count.
-        let executed = snap.counter(Counter::TasksExecuted);
-        assert!(executed > 0, "retired tasks must be counted");
-        assert!(executed as usize <= out.report.dag_tasks, "{executed} > {}", out.report.dag_tasks);
-        assert!(snap.class_busy_seconds().total() > 0.0, "kernels take time");
-        assert!(snap.counter(Counter::TasksEnqueued) >= executed);
-        assert!(snap.gauge(Gauge::ArenaHighWaterBytes) > 0.0, "workspaces allocate");
-        // The snapshot exports to both wire formats without loss of the
-        // headline counter.
-        let j = snap.to_json().to_string();
-        assert!(j.contains("tasks_executed"), "{j}");
-        let mut prom = String::new();
-        snap.write_prometheus(&mut prom);
-        assert!(prom.contains("tlr_tasks_executed_total"), "{prom}");
-    } else {
-        assert!(snap.is_empty(), "no storage without the metrics feature");
-    }
+    // Panel batching (on by default) retires *fused* tasks, so the
+    // counter is bounded by — not equal to — the DAG task count.
+    let executed = snap.counter(Counter::TasksExecuted);
+    assert!(executed > 0, "retired tasks must be counted");
+    assert!(executed as usize <= out.report.dag_tasks, "{executed} > {}", out.report.dag_tasks);
+    assert!(snap.class_busy_seconds().total() > 0.0, "kernels take time");
+    assert!(snap.counter(Counter::TasksEnqueued) >= executed);
+    assert!(snap.gauge(Gauge::ArenaHighWaterBytes) > 0.0, "workspaces allocate");
+    assert!(snap.recompression_ranks.count > 0, "GEMM recompressions must be logged");
+    assert!(snap.counter(Counter::WorkspaceGrowth) > 0, "arena warm-up must be counted");
+    // The snapshot exports to both wire formats without loss of the
+    // headline counter.
+    let j = snap.to_json().to_string();
+    assert!(j.contains("tasks_executed"), "{j}");
+    let mut prom = String::new();
+    snap.write_prometheus(&mut prom);
+    assert!(prom.contains("tlr_tasks_executed_total"), "{prom}");
 }
 
 /// Acceptance: a drift report on a DES run prices the original task
@@ -389,11 +385,9 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
         assert!(c.ratio.is_finite(), "{}: ratio {}", c.class, c.ratio);
         assert!(c.correction.is_finite() && c.correction > 0.0);
     }
-    if Registry::compiled() {
-        let gemm = drift.classes.iter().find(|c| c.class == "gemm").unwrap();
-        assert!(gemm.measured_seconds > 0.0, "DES busy time lands in the registry");
-        assert!(gemm.modeled_seconds > 0.0);
-    }
+    let gemm = drift.classes.iter().find(|c| c.class == "gemm").unwrap();
+    assert!(gemm.measured_seconds > 0.0, "DES busy time lands in the registry");
+    assert!(gemm.modeled_seconds > 0.0);
 
     let comm = drift.comm.expect("distributed runs always model comm");
     assert_eq!(comm.bytes_ratio, 1.0, "fault-free unbatched comm model is exact");
@@ -440,8 +434,13 @@ fn drift_report_works_on_wall_clock_runs() {
     for c in &drift.classes {
         assert!(c.ratio.is_finite() && c.ratio >= 0.0, "{}: {}", c.class, c.ratio);
     }
-    if Registry::compiled() {
-        let total: f64 = drift.classes.iter().map(|c| c.measured_seconds).sum();
-        assert!(total > 0.0, "wall-clock busy time must be measured");
-    }
+    let total: f64 = drift.classes.iter().map(|c| c.measured_seconds).sum();
+    assert!(total > 0.0, "wall-clock busy time must be measured");
+    // GEMM/SYRK are priced at the mean of the run's own recompression
+    // histogram (bucket bounds), not at the fallback rank.
+    let ranks = &out.registry.expect("default metrics").recompression_ranks;
+    assert!(ranks.count > 0, "recompressions must reach the registry");
+    let weighted: u64 = ranks.buckets.iter().map(|&(bound, n)| bound * n).sum();
+    let mean = (weighted as f64 / ranks.count as f64).round().max(1.0) as usize;
+    assert_eq!(drift.expected_rank, mean, "rank must come from the histogram");
 }
