@@ -16,7 +16,7 @@ use rbf_mesh::hilbert::{apply_permutation, hilbert_sort};
 use rbf_mesh::GaussianRbf;
 use runtime::MachineModel;
 use tlr_bench::{scaled_machine, header, paper_sizes, scale_factor, scaled_snapshot, PAPER_ACCURACY, PAPER_SHAPE};
-use tlr_compress::{CompressionConfig, TlrMatrix};
+use tlr_compress::{screen_census, CompressionConfig, TlrMatrix};
 
 fn main() {
     let s = scale_factor(64);
@@ -61,15 +61,18 @@ fn main() {
     let kernel = GaussianRbf::from_min_distance(&points);
     let accuracy = 1e-6;
 
+    let tile = 128;
     let t0 = std::time::Instant::now();
     let ccfg = CompressionConfig::with_accuracy(accuracy);
-    let mut a = TlrMatrix::from_generator(n, 128, kernel.generator(&points), &ccfg);
+    let mut a = TlrMatrix::from_generator(n, tile, kernel.generator(&points), &ccfg);
     let gen_compress = t0.elapsed().as_secs_f64();
+    let census = screen_census(n, tile, &kernel.generator(&points), &ccfg);
+    let offdiag = a.nt() * (a.nt() - 1) / 2;
 
     let rep = factorize(&mut a, &FactorConfig::with_accuracy(accuracy)).expect("SPD");
     println!(
-        "N = {n}: generation+compression {gen_compress:.3}s, factorization {:.3}s",
-        rep.factorization_seconds
+        "N = {n}: generation+compression {gen_compress:.3}s ({} of {offdiag} off-diagonal tiles screened null), factorization {:.3}s",
+        census.screened, rep.factorization_seconds
     );
     println!();
     println!("Expected (paper): HiCMA-PaRSEC shrinks the factorization so much that");

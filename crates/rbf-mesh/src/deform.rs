@@ -13,7 +13,7 @@
 //! already unique.
 
 use crate::geometry::Point3;
-use crate::kernel::GaussianRbf;
+use crate::kernel::{GaussianRbf, RadialProfile};
 use tlr_linalg::{potrf, trsv_lower, trsv_lower_trans, CholeskyError, Matrix};
 
 /// A boundary displacement field: one 3-vector per boundary node.

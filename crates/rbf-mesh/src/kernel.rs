@@ -1,4 +1,4 @@
-//! The scaled Gaussian radial basis function and its kernel matrix.
+//! Radial kernels and their kernel matrices.
 //!
 //! §IV-C: the paper uses the global-support Gaussian `φ(r) = exp(−r²)`,
 //! scaled by a shape parameter `δ`: `φ_δ(r) = φ(r/δ)`, with the default
@@ -6,8 +6,27 @@
 //! a few neighbor distances (sparse compressed operator, well
 //! conditioned); a large `δ` couples the whole domain (dense operator,
 //! ill conditioned) — the entire §VIII-B study is a sweep of this knob.
+//!
+//! Every kernel here is a [`RadialProfile`]: a decaying `φ(r)` and a
+//! diagonal value. [`crate::generator`] turns any of them into the matrix
+//! over a point cloud.
 
 use crate::geometry::{min_pairwise_distance, Point3};
+use crate::generator::{entry, radial_generator, KernelGenerator};
+
+/// A radially symmetric kernel: entry `(i, j)` of its matrix is
+/// `φ(‖xᵢ − xⱼ‖)` for `i ≠ j` and [`RadialProfile::diagonal`] for `i = j`.
+pub trait RadialProfile: Copy + Sync {
+    /// `φ(r)` at distance `r ≥ 0`.
+    fn eval(&self, r: f64) -> f64;
+
+    /// The diagonal entry: `φ(0)` plus any nugget.
+    fn diagonal(&self) -> f64;
+
+    /// Whether `φ` is non-negative and non-increasing on `r ≥ 0` with these
+    /// parameters — the monotone decay the null-tile bound rests on.
+    fn decays(&self) -> bool;
+}
 
 /// A scaled Gaussian RBF kernel.
 #[derive(Debug, Clone, Copy)]
@@ -29,29 +48,22 @@ impl GaussianRbf {
     pub fn from_min_distance(points: &[Point3]) -> Self {
         Self::new(0.5 * min_pairwise_distance(points))
     }
+}
 
-    /// Evaluate `φ_δ(r) = exp(−(r/δ)²)`.
+impl RadialProfile for GaussianRbf {
+    /// `φ_δ(r) = exp(−(r/δ)²)`.
     #[inline]
-    pub fn eval(&self, r: f64) -> f64 {
+    fn eval(&self, r: f64) -> f64 {
         let s = r / self.delta;
         (-s * s).exp()
     }
 
-    /// Kernel matrix entry for points `i`, `j` of `points` (with nugget on
-    /// the diagonal).
-    #[inline]
-    pub fn matrix_entry(&self, points: &[Point3], i: usize, j: usize) -> f64 {
-        if i == j {
-            1.0 + self.nugget
-        } else {
-            self.eval(points[i].dist(&points[j]))
-        }
+    fn diagonal(&self) -> f64 {
+        1.0 + self.nugget
     }
 
-    /// A generator closure suitable for `TlrMatrix::from_generator`.
-    pub fn generator<'a>(&self, points: &'a [Point3]) -> impl Fn(usize, usize) -> f64 + Sync + 'a {
-        let k = *self;
-        move |i: usize, j: usize| k.matrix_entry(points, i, j)
+    fn decays(&self) -> bool {
+        self.delta > 0.0
     }
 }
 
@@ -84,10 +96,12 @@ impl WendlandRbf {
     pub fn from_min_distance(points: &[Point3], shells: f64) -> Self {
         Self::new(shells * min_pairwise_distance(points))
     }
+}
 
-    /// Evaluate `ψ₃,₁(r/ρ)`; exactly 0 for `r ≥ ρ`.
+impl RadialProfile for WendlandRbf {
+    /// `ψ₃,₁(r/ρ)`; exactly 0 for `r ≥ ρ`.
     #[inline]
-    pub fn eval(&self, r: f64) -> f64 {
+    fn eval(&self, r: f64) -> f64 {
         let s = r / self.radius;
         if s >= 1.0 {
             0.0
@@ -98,20 +112,12 @@ impl WendlandRbf {
         }
     }
 
-    /// Kernel matrix entry (with nugget on the diagonal).
-    #[inline]
-    pub fn matrix_entry(&self, points: &[Point3], i: usize, j: usize) -> f64 {
-        if i == j {
-            1.0 + self.nugget
-        } else {
-            self.eval(points[i].dist(&points[j]))
-        }
+    fn diagonal(&self) -> f64 {
+        1.0 + self.nugget
     }
 
-    /// A generator closure suitable for `TlrMatrix::from_generator`.
-    pub fn generator<'a>(&self, points: &'a [Point3]) -> impl Fn(usize, usize) -> f64 + Sync + 'a {
-        let k = *self;
-        move |i: usize, j: usize| k.matrix_entry(points, i, j)
+    fn decays(&self) -> bool {
+        self.radius > 0.0
     }
 }
 
@@ -148,10 +154,12 @@ impl MaternKernel {
     pub fn new(length: f64, nu: MaternNu) -> Self {
         Self { length, nu, sigma2: 1.0, nugget: 1e-6 }
     }
+}
 
-    /// Evaluate the covariance at distance `r`.
+impl RadialProfile for MaternKernel {
+    /// The covariance at distance `r`.
     #[inline]
-    pub fn eval(&self, r: f64) -> f64 {
+    fn eval(&self, r: f64) -> f64 {
         let s = r / self.length;
         self.sigma2
             * match self.nu {
@@ -167,22 +175,39 @@ impl MaternKernel {
             }
     }
 
-    /// Covariance-matrix entry (nugget on the diagonal).
-    #[inline]
-    pub fn matrix_entry(&self, points: &[Point3], i: usize, j: usize) -> f64 {
-        if i == j {
-            self.sigma2 + self.nugget
-        } else {
-            self.eval(points[i].dist(&points[j]))
-        }
+    fn diagonal(&self) -> f64 {
+        self.sigma2 + self.nugget
     }
 
-    /// A generator closure suitable for `TlrMatrix::from_generator`.
-    pub fn generator<'a>(&self, points: &'a [Point3]) -> impl Fn(usize, usize) -> f64 + Sync + 'a {
-        let k = *self;
-        move |i: usize, j: usize| k.matrix_entry(points, i, j)
+    fn decays(&self) -> bool {
+        self.length > 0.0 && self.sigma2 >= 0.0
     }
 }
+
+macro_rules! kernel_matrix_methods {
+    ($($kernel:ty),*) => {$(
+        impl $kernel {
+            /// Kernel matrix entry for points `i`, `j` of `points` (with
+            /// the nugget on the diagonal).
+            #[inline]
+            pub fn matrix_entry(&self, points: &[Point3], i: usize, j: usize) -> f64 {
+                entry(self, points, i, j)
+            }
+
+            /// The kernel matrix over `points`, for
+            /// `TlrMatrix::from_generator`: entries, null-tile bounds, and
+            /// `g(i, j)` through `Deref`.
+            pub fn generator<'a>(
+                &self,
+                points: &'a [Point3],
+            ) -> KernelGenerator<'a, Self, impl Fn(usize, usize) -> f64 + Sync + Copy + 'a> {
+                radial_generator(*self, points)
+            }
+        }
+    )*};
+}
+
+kernel_matrix_methods!(GaussianRbf, WendlandRbf, MaternKernel);
 
 #[cfg(test)]
 mod tests {
@@ -345,5 +370,24 @@ mod tests {
         ];
         assert_eq!(k.matrix_entry(&pts, 0, 0), 1.5);
         assert!(k.matrix_entry(&pts, 0, 1) < 1.0);
+    }
+
+    #[test]
+    fn profiles_decay_monotonically() {
+        let kernels: [&dyn Fn(f64) -> f64; 5] = [
+            &|r| GaussianRbf::new(0.3).eval(r),
+            &|r| WendlandRbf::new(0.7).eval(r),
+            &|r| MaternKernel::new(0.2, MaternNu::Half).eval(r),
+            &|r| MaternKernel::new(0.2, MaternNu::ThreeHalves).eval(r),
+            &|r| MaternKernel::new(0.2, MaternNu::FiveHalves).eval(r),
+        ];
+        for phi in kernels {
+            let mut prev = phi(0.0);
+            for i in 1..=400 {
+                let v = phi(i as f64 / 200.0);
+                assert!((0.0..=prev).contains(&v), "φ must decay: {v} after {prev}");
+                prev = v;
+            }
+        }
     }
 }

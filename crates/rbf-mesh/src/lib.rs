@@ -16,11 +16,15 @@
 //!
 //! * [`geometry`] — synthetic virus point clouds and cube packing,
 //! * [`hilbert`] — 3D Hilbert space-filling-curve ordering (§IV-C),
-//! * [`kernel`] — the scaled Gaussian RBF `φ_δ(r) = exp(−(r/δ)²)`,
+//! * [`kernel`] — the scaled Gaussian RBF `φ_δ(r) = exp(−(r/δ)²)` and the
+//!   Wendland and Matérn kernels,
+//! * [`generator`] — any kernel's matrix over a point cloud, with the
+//!   geometric tile-norm bound behind the null-tile screen,
 //! * [`deform`] — the end-to-end deformation pipeline (assemble → solve →
 //!   interpolate).
 
 pub mod deform;
+pub mod generator;
 pub mod geometry;
 pub mod hilbert;
 pub mod kernel;
@@ -28,5 +32,6 @@ pub mod quality;
 
 pub use geometry::{virus_population, Point3, VirusConfig};
 pub use hilbert::hilbert_sort;
-pub use kernel::{GaussianRbf, MaternKernel, MaternNu, WendlandRbf};
+pub use generator::{radial_generator, KernelGenerator};
+pub use kernel::{GaussianRbf, MaternKernel, MaternNu, RadialProfile, WendlandRbf};
 pub use quality::{assess, QualityReport};

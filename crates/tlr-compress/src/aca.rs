@@ -182,9 +182,13 @@ where
         // for more crosses only to hit the rank cap — or worse, to
         // converge to a wrong answer — is strictly dominated by the
         // dense fallback.
-        if term_norm >= prev_term_norm {
+        // A cross that overflowed (a pivot far below the residual's
+        // rounding noise) cannot be repaired by more crosses: fall back at
+        // once.
+        let overflowed = !term_norm.is_finite();
+        if overflowed || term_norm >= prev_term_norm {
             strikes += 1;
-            if strikes >= STAGNATION_STRIKES {
+            if overflowed || strikes >= STAGNATION_STRIKES {
                 let dense = Matrix::from_fn(rows, cols, &eval);
                 return AcaResult {
                     tile: crate::compress::compress_tile(dense, config),

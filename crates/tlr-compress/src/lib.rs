@@ -17,6 +17,9 @@
 //! * [`kernels`] — the four TLR Cholesky kernels (`POTRF`, `TRSM`, `SYRK`,
 //!   `GEMM`) operating directly on compressed tiles, with on-the-fly rank
 //!   truncation in the GEMM recompression path,
+//! * [`TileGenerator`] / [`proven_null`] — entry generators that may bound
+//!   a tile's norm, and the screen that stores provably null tiles without
+//!   evaluating them,
 //! * [`TlrMatrix`] — a symmetric lower-triangular tile container with
 //!   density/rank statistics,
 //! * [`rankstat`] — rank snapshots, heatmaps and the synthetic
@@ -26,6 +29,7 @@
 
 pub mod aca;
 pub mod compress;
+pub mod generator;
 pub mod integrity;
 pub mod kernels;
 pub mod matrix;
@@ -34,6 +38,7 @@ pub mod tile;
 
 pub use aca::{aca_compress, AcaResult};
 pub use compress::{compress_tile, decompress_tile, CompressionConfig};
+pub use generator::{proven_null, screen_census, ScreenCensus, TileGenerator};
 pub use integrity::{corrupt_tile, SealedTile, TileDigest, WordFold};
 pub use matrix::TlrMatrix;
 pub use rankstat::{RankEvolution, RankSnapshot, SyntheticRankModel};

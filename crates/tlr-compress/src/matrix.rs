@@ -7,9 +7,11 @@
 //! tile size.
 
 use crate::compress::{compress_tile, CompressionConfig};
+use crate::generator::{lower_tiles, proven_null, TileGenerator};
 use crate::rankstat::RankSnapshot;
 use crate::tile::Tile;
 use rayon::prelude::*;
+use std::ops::Range;
 use tlr_linalg::Matrix;
 
 /// A symmetric positive-definite matrix stored as TLR tiles (lower
@@ -24,6 +26,11 @@ pub struct TlrMatrix {
     tiles: Vec<Tile>,
 }
 
+/// The dense block `gen[rows, cols]`.
+fn fill<G: TileGenerator + ?Sized>(gen: &G, rows: Range<usize>, cols: Range<usize>) -> Matrix {
+    Matrix::from_fn(rows.len(), cols.len(), |bi, bj| gen.entry(rows.start + bi, cols.start + bj))
+}
+
 #[inline]
 fn packed_index(i: usize, j: usize) -> usize {
     debug_assert!(i >= j, "only the lower triangle is stored");
@@ -32,38 +39,28 @@ fn packed_index(i: usize, j: usize) -> usize {
 
 impl TlrMatrix {
     /// Build a TLR matrix by sampling a symmetric generator
-    /// `gen(row, col)` tile-by-tile and compressing each off-diagonal tile
-    /// at the configured accuracy. Tiles are generated and compressed in
-    /// parallel on rayon's work-stealing pool — one task per tile, sized
+    /// `gen.entry(row, col)` tile-by-tile and compressing each off-diagonal
+    /// tile at the configured accuracy. Tiles are generated and compressed
+    /// in parallel on rayon's work-stealing pool — one task per tile, sized
     /// by `available_parallelism` unless `RAYON_NUM_THREADS` overrides it
     /// (this is the paper's "matrix generation + compression" phase,
     /// Fig. 11). Per-tile results are independent of the thread count, so
     /// the assembled matrix is bit-identical at any pool size.
-    pub fn from_generator<F>(n: usize, tile_size: usize, gen: F, config: &CompressionConfig) -> Self
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        assert!(n > 0 && tile_size > 0, "matrix and tile size must be positive");
-        let nt = n.div_ceil(tile_size);
-        let coords: Vec<(usize, usize)> = (0..nt)
-            .flat_map(|i| (0..=i).map(move |j| (i, j)))
-            .collect();
-        let tiles: Vec<Tile> = coords
-            .par_iter()
-            .map(|&(i, j)| {
-                let r0 = i * tile_size;
-                let c0 = j * tile_size;
-                let rows = tile_size.min(n - r0);
-                let cols = tile_size.min(n - c0);
-                let block = Matrix::from_fn(rows, cols, |bi, bj| gen(r0 + bi, c0 + bj));
-                if i == j {
-                    Tile::Dense(block)
-                } else {
-                    compress_tile(block, config)
-                }
-            })
-            .collect();
-        Self { n, tile_size, nt, tiles }
+    ///
+    /// Off-diagonal tiles the generator proves null ([`proven_null`]) are
+    /// stored null without being evaluated; the result is bit-identical to
+    /// assembling them (see [`crate::generator`]).
+    pub fn from_generator<G: TileGenerator>(
+        n: usize,
+        tile_size: usize,
+        gen: G,
+        config: &CompressionConfig,
+    ) -> Self {
+        Self::assemble(n, tile_size, &gen, config, |rows, cols| {
+            let block = fill(&gen, rows, cols);
+            (compress_tile(block, config), 0)
+        })
+        .0
     }
 
     /// Build from an explicit dense matrix (testing/small problems).
@@ -76,41 +73,57 @@ impl TlrMatrix {
     /// cross approximation — the paper's §IX future work: off-diagonal
     /// tiles are assembled from `O(k·b)` kernel evaluations instead of
     /// `b²`, skipping the dense-generation phase that dominates Fig. 11.
+    /// Tiles the generator proves null are skipped exactly as in
+    /// [`TlrMatrix::from_generator`], so both paths agree on them.
     ///
     /// Returns the matrix and the total number of kernel evaluations
-    /// spent (compare against `n·(n+1)/2` for the dense path).
-    pub fn from_generator_aca<F>(
+    /// spent (compare against [`crate::screen_census`]'s `evaluations` for
+    /// the dense path).
+    pub fn from_generator_aca<G: TileGenerator>(
         n: usize,
         tile_size: usize,
-        gen: F,
+        gen: G,
         config: &CompressionConfig,
+    ) -> (Self, usize) {
+        Self::assemble(n, tile_size, &gen, config, |rows, cols| {
+            let res = crate::aca::aca_compress(
+                rows.len(),
+                cols.len(),
+                |bi, bj| gen.entry(rows.start + bi, cols.start + bj),
+                config,
+            );
+            (res.tile, res.evaluations)
+        })
+    }
+
+    /// The assembly loop shared by both paths: diagonal tiles are filled
+    /// dense, proven-null tiles are stored null, and every other tile is
+    /// built by `off_diagonal`, which also reports its kernel evaluations.
+    fn assemble<G, B>(
+        n: usize,
+        tile_size: usize,
+        gen: &G,
+        config: &CompressionConfig,
+        off_diagonal: B,
     ) -> (Self, usize)
     where
-        F: Fn(usize, usize) -> f64 + Sync,
+        G: TileGenerator,
+        B: Fn(Range<usize>, Range<usize>) -> (Tile, usize) + Sync,
     {
         assert!(n > 0 && tile_size > 0, "matrix and tile size must be positive");
         let nt = n.div_ceil(tile_size);
-        let coords: Vec<(usize, usize)> = (0..nt)
-            .flat_map(|i| (0..=i).map(move |j| (i, j)))
-            .collect();
+        let coords: Vec<_> = lower_tiles(n, tile_size).collect();
         let results: Vec<(Tile, usize)> = coords
             .par_iter()
-            .map(|&(i, j)| {
-                let r0 = i * tile_size;
-                let c0 = j * tile_size;
-                let rows = tile_size.min(n - r0);
-                let cols = tile_size.min(n - c0);
+            .map(|(i, j, rows, cols)| {
+                let (rows, cols) = (rows.clone(), cols.clone());
                 if i == j {
-                    let block = Matrix::from_fn(rows, cols, |bi, bj| gen(r0 + bi, c0 + bj));
-                    (Tile::Dense(block), rows * cols)
+                    let evals = rows.len() * cols.len();
+                    (Tile::Dense(fill(gen, rows, cols)), evals)
+                } else if proven_null(gen, rows.clone(), cols.clone(), config) {
+                    (Tile::Null { rows: rows.len(), cols: cols.len() }, 0)
                 } else {
-                    let res = crate::aca::aca_compress(
-                        rows,
-                        cols,
-                        |bi, bj| gen(r0 + bi, c0 + bj),
-                        config,
-                    );
-                    (res.tile, res.evaluations)
+                    off_diagonal(rows, cols)
                 }
             })
             .collect();

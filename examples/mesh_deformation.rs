@@ -12,7 +12,7 @@ use hicma_parsec::linalg::Matrix;
 use hicma_parsec::mesh::deform::{solve_dense, Displacements};
 use hicma_parsec::mesh::geometry::{virus_population, Point3, VirusConfig};
 use hicma_parsec::mesh::hilbert::{apply_permutation, hilbert_sort};
-use hicma_parsec::mesh::GaussianRbf;
+use hicma_parsec::mesh::{GaussianRbf, RadialProfile};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 
 fn main() {
